@@ -26,7 +26,7 @@ from .lattice import (
     join, meet, minimal_label, hasse, export_dot,
 )
 from .preservation import (
-    PreservationRow, Witness, generator_preserves, letter_preserves,
+    PreservationRow, Witness, letter_witness, letter_preserves,
     group_row, full_table, golden_table, load_golden, diff_golden,
     find_witness,
 )

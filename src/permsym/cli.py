@@ -5,12 +5,13 @@ results, DOT for the lattice drawing.  Points, pattern digits and cut
 positions are 1-based on the command line ("p1" is the first-order least
 point); library indices are 0-based.
 
-Exit codes: 0 success, 1 verification failure (mismatch, missing witness,
-failed check), 2 usage error.
+Exit codes: 0 success, 1 verification failure (mismatch, preserved cell
+asked for a witness, failed check), 2 usage error or bad input.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import behaviors, lattice, orbits, preservation, ramsey, relations
@@ -58,8 +59,6 @@ def _parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", help="compute the preservation table")
-    p.add_argument("--max-size", type=int, default=preservation.DEFAULT_MAX_SIZE)
-    p.add_argument("--max-word", type=int, default=preservation.DEFAULT_MAX_WORD)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--diff", action="store_true",
                    help="report cells differing from the published table")
@@ -82,8 +81,6 @@ def _parser():
     p = sub.add_parser("witness", help="show a violating move word for a cell")
     p.add_argument("label", help="group label, e.g. e")
     p.add_argument("relation", help="relation name, e.g. cyc1")
-    p.add_argument("--max-size", type=int, default=preservation.DEFAULT_WITNESS_SIZE)
-    p.add_argument("--max-word", type=int, default=preservation.DEFAULT_MAX_WORD)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("orbits", help="orbit cells relative to constants")
@@ -145,20 +142,17 @@ def _table_order(rows):
 
 
 def _cmd_table(args):
-    result = preservation.full_table(args.max_size, args.max_word)
+    result = preservation.full_table()
     golden = preservation.load_golden(args.golden) if args.golden else None
     rows = _table_order(result.rows)
-    failed = bool(result.unconfirmed)
     if args.diff:
         diffs = preservation.diff_golden(result.rows, golden)
-        failed = failed or bool(diffs)
         if args.format == "json":
             print(json.dumps({
                 "mismatches": [
                     {"label": d.label, "relation": d.relation,
                      "golden": d.golden, "computed": d.computed}
                     for d in diffs],
-                "unconfirmed": ["%s/%s" % c for c in result.unconfirmed],
             }, indent=2))
         else:
             print("%d mismatches" % len(diffs))
@@ -166,23 +160,20 @@ def _cmd_table(args):
                 print("  %s %s: golden=%s computed=%s"
                       % (d.label, d.relation, int(d.golden),
                          "missing" if d.computed is None else int(d.computed)))
-    elif args.format == "json":
+        return 1 if diffs else 0
+    if args.format == "json":
         print(json.dumps({
             "rows": [
                 {"label": row.label,
                  "bits": {rel: bit for rel, bit in
                           zip(relations.RELATION_NAMES, row.bits)}}
                 for row in rows],
-            "unconfirmed": ["%s/%s" % c for c in result.unconfirmed],
         }, indent=2))
     else:
         print("label," + ",".join(relations.RELATION_NAMES))
         for row in rows:
             print(row.label + "," + ",".join(str(int(b)) for b in row.bits))
-    for label, rel in result.unconfirmed:
-        print("warning: %s/%s negative but no witness within budget"
-              % (label, rel), file=sys.stderr)
-    return 1 if failed else 0
+    return 0
 
 
 def _cmd_lattice(args):
@@ -240,14 +231,9 @@ def _cmd_witness(args):
     element = lattice.find(args.label)
     rel = args.relation
     relations.arity(rel)
-    matrix = preservation.letter_matrix(preservation.DEFAULT_MAX_SIZE)
-    if all(matrix[(letter, rel)] for letter in element.members):
-        print("%s preserves %s up to size %d; no witness exists"
-              % (args.label, rel, preservation.DEFAULT_MAX_SIZE))
-        return 1
-    w = preservation.find_witness(element.members, rel, args.max_size, args.max_word)
+    w = preservation.find_witness(element.members, rel)
     if w is None:
-        print("no witness within budget (unconfirmed negative)")
+        print("%s preserves %s at every size; no witness exists" % (args.label, rel))
         return 1
     if args.format == "json":
         print(json.dumps({
@@ -293,16 +279,46 @@ def _cmd_orbits(args):
     return 0
 
 
+def _sample_point(value, n, what):
+    """0-based index of a 1-based sample point, checked against size n."""
+    try:
+        k = int(value)
+    except (TypeError, ValueError):
+        raise ValueError("%s point %r is not an integer" % (what, value)) from None
+    if not 1 <= k <= n:
+        raise ValueError("%s point %d out of range 1..%d" % (what, k, n))
+    return k - 1
+
+
 def _load_sample(path):
-    if path == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(path) as fh:
-            data = json.load(fh)
+    try:
+        if path == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                data = json.load(fh)
+    except OSError as exc:
+        raise ValueError("cannot read sample: %s" % exc) from None
+    if not isinstance(data, dict):
+        raise ValueError("sample must be a JSON object")
+    missing = [k for k in ("source_pattern", "image_pattern", "map") if k not in data]
+    if missing:
+        raise ValueError("sample lacks %s" % ", ".join(missing))
+    pairs, constants = data["map"], data.get("constants", [])
+    if not (isinstance(pairs, list)
+            and all(isinstance(e, list) and len(e) == 2 for e in pairs)):
+        raise ValueError("map must be a list of [source, image] pairs")
+    if not isinstance(constants, list):
+        raise ValueError("constants must be a list")
     source = pattern_from_text(str(data["source_pattern"]))
     image = pattern_from_text(str(data["image_pattern"]))
-    mapping = {int(s) - 1: int(d) - 1 for s, d in data["map"]}
-    constants = [int(c) - 1 for c in data.get("constants", [])]
+    mapping = {}
+    for s, d in pairs:
+        s = _sample_point(s, source.n, "source")
+        if s in mapping:
+            raise ValueError("source point %d mapped twice" % (s + 1))
+        mapping[s] = _sample_point(d, image.n, "image")
+    constants = [_sample_point(c, source.n, "constant") for c in constants]
     return orbits.constant_set(source, constants), orbits.Sample(source, image, mapping)
 
 
@@ -372,7 +388,16 @@ def _cmd_ramsey_search(args):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (e.g. "| head").  Point stdout at devnull so
+        # the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,39 +1,47 @@
 """Preservation checks: which symmetry groups keep which relations invariant.
 
 A group preserves a relation when every element maps true tuples to true
-tuples.  Each of the ten letters contributes a family of concrete moves
-closed under inverses; a closed letter set preserves a relation exactly
-when each member letter does, so rows of the table are computed letter
-by letter and combined.  Positive cells are exhaustive checks up to a
-size bound; negative cells come with a replayable witness.
+tuples.  Each of the ten letters contributes a family of concrete moves;
+a closed letter set preserves a relation exactly when each member letter
+does, so rows of the table are computed letter by letter and combined.
+
+One scan per letter and relation, at size = arity, decides the cell at
+every size, and its first hit is the witness:
+
+- One move suffices.  Every letter's move family is closed under
+  inverses, so each element of the group it generates is a word of its
+  moves.  Along a violating word the relation goes from true to false
+  at some single step, so that step alone is a witness.
+- Size = arity suffices.  Every relation is quantifier-free on its
+  tuple.  Each move restricts to the tuple's induced sub-pattern as a
+  move of the same letter: a turn at cut k becomes a turn at cut m,
+  where m is the number of tuple points below k; reversals, the
+  exchange and scrambles restrict to themselves.  So a violation at any
+  size projects to one at size = arity.
+
+Positive cells therefore hold at every size, and every negative cell
+carries a one-move witness that replays with plain moves.
 """
 
 import csv
 from collections import namedtuple
 from functools import lru_cache
 from importlib import resources
-from itertools import permutations, product
+from itertools import permutations
 
 from . import relations
 from .patterns import enumerate_patterns, pattern_to_text
 from .generators import (
     GeneratorId, REV1, REV2, REVREV, SW,
     turn_first, turn_second, apply_word, word_to_text,
-    PLAIN_KINDS, TURN_KINDS,
 )
 from .lattice import LETTERS, closure, minimal_label, enumerate_lattice
 
-DEFAULT_MAX_SIZE = 5
-DEFAULT_MAX_WORD = 3
-DEFAULT_WITNESS_SIZE = 6
-WITNESS_NODE_BUDGET = 10 ** 7
-
 PreservationRow = namedtuple("PreservationRow", ["label", "bits"])
-RowResult = namedtuple("RowResult", ["row", "witnesses", "unconfirmed"])
-TableResult = namedtuple("TableResult", ["rows", "witnesses", "unconfirmed"])
+RowResult = namedtuple("RowResult", ["row", "witnesses"])
+TableResult = namedtuple("TableResult", ["rows", "witnesses"])
 CellDiff = namedtuple("CellDiff", ["label", "relation", "golden", "computed"])
-# A replayable counterexample: applying the moves left to right sends a
-# true tuple to a false one.
+# A replayable counterexample: the move sends a true tuple to a false one.
 Witness = namedtuple(
     "Witness",
     ["relation", "pattern", "points", "moves", "image_pattern", "image_points"])
@@ -42,7 +50,6 @@ Move = namedtuple("Move", ["text", "func"])
 # Which generator kind realizes which single-map letter.
 KIND_LETTER = {"rev2": "a", "t2": "b", "rev1": "c", "t1": "d",
                "revrev": "e", "sw": "f"}
-WORD_LETTERS = "abcdefgh"
 SCRAMBLE_LETTERS = "ij"
 
 
@@ -99,50 +106,41 @@ def _apply(word, p):
     return res.pattern, res.mapping
 
 
-def letter_preserves(letter, relation, max_size=DEFAULT_MAX_SIZE):
-    """True iff every move of the letter preserves the relation up to max_size."""
+@lru_cache(maxsize=None)
+def letter_witness(letter, relation):
+    """First move of the letter breaking the relation, as a Witness, or None.
+
+    Scans the letter's moves at size = arity, then patterns in
+    lexicographic order, then tuples, so the hit is reproducible.  None
+    means the letter preserves the relation at every size.
+    """
     if letter not in LETTERS:
         raise ValueError("unknown letter: %r" % (letter,))
     f = relations.evaluator(relation)
-    ar = relations.arity(relation)
-    if letter in SCRAMBLE_LETTERS:
-        return _scramble_preserves(letter, f, ar, max_size)
-    for n in range(ar, max_size + 1):
-        pats = list(enumerate_patterns(n))
-        tuples = list(permutations(range(n), ar))
-        for word in letter_words(letter, n):
-            for p in pats:
-                image, mapping = _apply(word, p)
-                pr, ir = p.ranks, image.ranks
-                for t in tuples:
-                    if f(pr, t) and not f(ir, tuple(mapping[x] for x in t)):
-                        return False
-    return True
+    n = relations.arity(relation)
+    pats = list(enumerate_patterns(n))
+    tuples = list(permutations(range(n)))
+    for move in letter_moves(letter, n):
+        for p in pats:
+            image, mapping = move.func(p)
+            pr, ir = p.ranks, image.ranks
+            for t in tuples:
+                if f(pr, t):
+                    it = tuple(mapping[x] for x in t)
+                    if not f(ir, it):
+                        return Witness(relation, p, t, (move.text,), image, it)
+    return None
 
 
-def _scramble_preserves(letter, f, ar, max_size):
-    # The scramble family identifies tuples that agree on the kept order:
-    # for i that is the index tuple itself, for j the rank tuple.  The
-    # relation survives iff its value is constant on each class.
-    for n in range(ar, max_size + 1):
-        seen = {}
-        for p in enumerate_patterns(n):
-            pr = p.ranks
-            for t in permutations(range(n), ar):
-                key = t if letter == "i" else tuple(pr[x] for x in t)
-                v = f(pr, t)
-                if seen.setdefault(key, v) != v:
-                    return False
-        # Classes do not mix across sizes.
-        seen.clear()
-    return True
+def letter_preserves(letter, relation):
+    """True iff every move of the letter preserves the relation."""
+    return letter_witness(letter, relation) is None
 
 
-@lru_cache(maxsize=None)
-def letter_matrix(max_size=DEFAULT_MAX_SIZE):
+def letter_matrix():
     """(letter, relation) -> preserved, for all 10 letters and 20 relations."""
     return {
-        (letter, rel): letter_preserves(letter, rel, max_size)
+        (letter, rel): letter_preserves(letter, rel)
         for letter in LETTERS
         for rel in relations.RELATION_NAMES
     }
@@ -162,118 +160,42 @@ def normalize_generators(gens):
     return closure(found)
 
 
-def generator_preserves(g, relation, max_size=DEFAULT_MAX_SIZE, backward=False):
-    """True iff the single move (all cuts, for turns) preserves the relation.
+def find_witness(members, relation):
+    """Witness of the first member letter, in sorted order, that has one.
 
-    With backward=True the implication is checked from image to source,
-    i.e. preservation by the inverse map.
+    None when every member letter, and so the group, preserves the relation.
     """
-    f = relations.evaluator(relation)
-    ar = relations.arity(relation)
-    if max_size < ar:
-        raise ValueError("max_size %d below relation arity %d" % (max_size, ar))
-    for n in range(ar, max_size + 1):
-        if g.kind in TURN_KINDS:
-            cuts = range(n + 1) if g.cut is None else [g.cut]
-            words = [[GeneratorId(g.kind, k)] for k in cuts]
-        elif g.kind in PLAIN_KINDS:
-            words = [[g]]
-        else:
-            raise ValueError("unknown generator kind: %r" % (g.kind,))
-        tuples = list(permutations(range(n), ar))
-        for word in words:
-            for p in enumerate_patterns(n):
-                image, mapping = _apply(word, p)
-                pr, ir = p.ranks, image.ranks
-                for t in tuples:
-                    src = f(pr, t)
-                    dst = f(ir, tuple(mapping[x] for x in t))
-                    bad = (dst and not src) if backward else (src and not dst)
-                    if bad:
-                        return False
-    return True
-
-
-def find_witness(members, relation, max_size=DEFAULT_WITNESS_SIZE,
-                 max_word=DEFAULT_MAX_WORD):
-    """Breadth-first search for a violating move word over the member letters.
-
-    Scans word length, then pattern size, then move words, patterns and
-    tuples in lexicographic order, so the first hit is reproducible.
-    None when the budget is exhausted without a hit.
-    """
-    f = relations.evaluator(relation)
-    ar = relations.arity(relation)
-    letters = sorted(members)
-    budget = WITNESS_NODE_BUDGET
-    for depth in range(1, max_word + 1):
-        for n in range(ar, max_size + 1):
-            moves = []
-            for letter in letters:
-                moves.extend(letter_moves(letter, n))
-            pats = list(enumerate_patterns(n))
-            tuples = list(permutations(range(n), ar))
-            for seq in product(moves, repeat=depth):
-                budget -= len(pats)
-                if budget < 0:
-                    return None
-                for p in pats:
-                    current, mapping = p, tuple(range(n))
-                    for move in seq:
-                        current, step = move.func(current)
-                        mapping = tuple(step[m] for m in mapping)
-                    pr, ir = p.ranks, current.ranks
-                    for t in tuples:
-                        if f(pr, t):
-                            it = tuple(mapping[x] for x in t)
-                            if not f(ir, it):
-                                return Witness(relation, p, t,
-                                               tuple(m.text for m in seq),
-                                               current, it)
+    for letter in sorted(members):
+        w = letter_witness(letter, relation)
+        if w is not None:
+            return w
     return None
 
 
-def group_row(gens, max_size=DEFAULT_MAX_SIZE, max_word=DEFAULT_MAX_WORD,
-              witness_size=DEFAULT_WITNESS_SIZE):
+def _row(members):
+    """Bits of one closed letter set and the witnesses of its false cells."""
+    found = {rel: find_witness(members, rel) for rel in relations.RELATION_NAMES}
+    bits = tuple(w is None for w in found.values())
+    return bits, {rel: w for rel, w in found.items() if w is not None}
+
+
+def group_row(gens):
     """Preservation row of the closed group generated by gens, with witnesses."""
     members = normalize_generators(gens)
-    matrix = letter_matrix(max_size)
-    bits = tuple(
-        all(matrix[(letter, rel)] for letter in members)
-        for rel in relations.RELATION_NAMES)
-    witnesses = {}
-    unconfirmed = []
-    for rel, bit in zip(relations.RELATION_NAMES, bits):
-        if bit:
-            continue
-        w = find_witness(members, rel, witness_size, max_word)
-        witnesses[rel] = w
-        if w is None:
-            unconfirmed.append(rel)
-    row = PreservationRow(minimal_label(members), bits)
-    return RowResult(row, witnesses, unconfirmed)
+    bits, witnesses = _row(members)
+    return RowResult(PreservationRow(minimal_label(members), bits), witnesses)
 
 
-@lru_cache(maxsize=None)
-def full_table(max_size=DEFAULT_MAX_SIZE, max_word=DEFAULT_MAX_WORD):
+def full_table():
     """Rows for all 39 lattice elements, with witnesses for false cells."""
     rows = []
     witnesses = {}
-    unconfirmed = []
-    matrix = letter_matrix(max_size)
     for element in enumerate_lattice():
-        bits = tuple(
-            all(matrix[(letter, rel)] for letter in element.members)
-            for rel in relations.RELATION_NAMES)
+        bits, found = _row(element.members)
         rows.append(PreservationRow(element.name, bits))
-        for rel, bit in zip(relations.RELATION_NAMES, bits):
-            if bit:
-                continue
-            w = find_witness(element.members, rel, DEFAULT_WITNESS_SIZE, max_word)
+        for rel, w in found.items():
             witnesses[(element.name, rel)] = w
-            if w is None:
-                unconfirmed.append((element.name, rel))
-    return TableResult(tuple(rows), witnesses, tuple(unconfirmed))
+    return TableResult(tuple(rows), witnesses)
 
 
 @lru_cache(maxsize=1)

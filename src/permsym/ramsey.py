@@ -60,6 +60,8 @@ def search_witness(gamma, omega, max_n, budget=COLORING_BUDGET):
     Hosts whose check went over budget are reported in `infeasible`;
     pattern is None when no host up to max_n verifies.
     """
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative, got %d" % max_n)
     skipped = []
     for n in range(max_n + 1):
         for delta in enumerate_patterns(n):

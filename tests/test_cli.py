@@ -1,7 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
+import pytest
+
+import permsym
 from permsym import relations
 from permsym.cli import run
 from lattice_expectations import LABELS_BY_MASK
@@ -108,7 +115,7 @@ def test_table_json(capsys):
     code, out, _ = _run(capsys, "table", "--format", "json")
     data = json.loads(out)
     assert code == 0
-    assert data["unconfirmed"] == []
+    assert list(data) == ["rows"]
     labels = [row["label"] for row in data["rows"]]
     assert labels[0] == "bottom" and labels[-1] == "sym" and len(labels) == 39
     assert data["rows"][0]["bits"]["lt1"] is True
@@ -128,7 +135,7 @@ def test_table_diff_json(capsys):
     code, out, _ = _run(capsys, "table", "--diff", "--format", "json")
     data = json.loads(out)
     assert code == 1
-    assert data["unconfirmed"] == []
+    assert list(data) == ["mismatches"]
     assert data["mismatches"] == [
         {"label": "de", "relation": "r1", "golden": True, "computed": False}]
 
@@ -182,7 +189,15 @@ def test_witness_json_replays(capsys):
 def test_witness_for_preserved_cell(capsys):
     code, out, _ = _run(capsys, "witness", "e", "btw1")
     assert code == 1
-    assert out == "e preserves btw1 up to size 5; no witness exists\n"
+    assert out == "e preserves btw1 at every size; no witness exists\n"
+
+
+def test_size_and_word_bounds_are_gone(capsys):
+    # --max-size 1 used to print an all-ones table and exit 0
+    for argv in (["table", "--max-size", "1"], ["table", "--max-word", "1"],
+                 ["witness", "e", "cyc1", "--max-size", "6"]):
+        code, out, _ = _run(capsys, *argv)
+        assert code == 2 and out == "", argv
 
 
 def test_witness_validation(capsys):
@@ -257,6 +272,31 @@ def test_check_canonical_stdin(capsys, monkeypatch):
     assert bad[0]["counterexample"] == [[4, 5], [5, 6]]
 
 
+_PATTERNS_123 = '"source_pattern": "123", "image_pattern": "123"'
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{%s}' % _PATTERNS_123, "sample lacks map"),
+    ("[1, 2]", "sample must be a JSON object"),
+    ('{%s, "map": [[1, 1], [2, 2], [9, 3]]}' % _PATTERNS_123,
+     "source point 9 out of range 1..3"),
+    ('{%s, "map": [[1, 1], [1, 1]]}' % _PATTERNS_123,
+     "source point 1 mapped twice"),
+    (None, "cannot read sample"),
+], ids=["missing-key", "not-an-object", "source-out-of-range",
+        "repeated-source", "missing-file"])
+def test_check_canonical_rejects_bad_input(capsys, monkeypatch, tmp_path,
+                                           text, message):
+    path = str(tmp_path / "missing.json")
+    if text is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        path = "-"
+    code, out, err = _run(capsys, "check-canonical", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_ramsey_command(capsys):
     code, out, _ = _run(capsys, "ramsey", "--delta", "123",
                         "--gamma", "1", "--omega", "12")
@@ -282,6 +322,13 @@ def test_ramsey_search_command(capsys):
     assert json.loads(out) == {"pattern": "321", "infeasible": []}
 
 
+def test_ramsey_search_rejects_negative_max_n(capsys):
+    code, out, err = _run(capsys, "ramsey-search", "--gamma", "1",
+                          "--omega", "12", "--max-n", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_usage_errors(capsys):
     assert _run(capsys, )[0] == 2
     assert _run(capsys, "no-such-command")[0] == 2
@@ -301,3 +348,19 @@ def test_output_is_deterministic(capsys):
     first = _run(capsys, "table")
     second = _run(capsys, "table")
     assert first == second
+
+
+def test_closed_stdout_exits_without_traceback():
+    # like "permsym lattice | head -1" once head has gone
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(permsym.__file__).resolve().parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "permsym.cli", "lattice"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

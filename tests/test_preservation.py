@@ -5,14 +5,13 @@ import pytest
 from permsym import relations
 from permsym.patterns import pattern_from_text, enumerate_patterns
 from permsym.generators import (
-    GeneratorId, REV1, REV2, REVREV, SW,
-    turn_first, turn_second, word_from_text, apply_word,
+    GeneratorId, REV1, REV2, REVREV, SW, turn_first, turn_second, word_from_text, apply_word,
 )
 from permsym.lattice import LETTERS, enumerate_lattice
 from permsym.preservation import (
-    CellDiff, PreservationRow,
+    CellDiff, PreservationRow, KIND_LETTER,
     letter_words, letter_moves, letter_preserves, letter_matrix,
-    normalize_generators, generator_preserves, find_witness, group_row,
+    normalize_generators, find_witness, group_row,
     full_table, golden_table, load_golden, diff_golden, _scramble_apply,
 )
 from lattice_expectations import LABELS_BY_MASK, PROPER_LABELS
@@ -29,7 +28,7 @@ def _names(bits):
 
 
 def test_letter_rows_match_golden():
-    matrix = letter_matrix(5)
+    matrix = letter_matrix()
     _, golden = golden_table()
     for letter in LETTERS:
         bits = tuple(matrix[(letter, rel)] for rel in relations.RELATION_NAMES)
@@ -57,28 +56,79 @@ def test_letter_preserves_validation():
     (SW, "dow", False),
 ])
 def test_generator_preserves_examples(g, rel, expect):
-    assert generator_preserves(g, rel, 5) is expect
+    # a plain move is the whole move family of its letter
+    assert letter_preserves(KIND_LETTER[g.kind], rel) is expect
 
 
-def test_generator_preserves_size_guard():
-    with pytest.raises(ValueError):
-        generator_preserves(REVREV, "sep1", 3)
+def _some_move_breaks(letter, rel, n):
+    f = relations.evaluator(rel)
+    tuples = list(permutations(range(n), relations.arity(rel)))
+    for move in letter_moves(letter, n):
+        for p in enumerate_patterns(n):
+            image, mapping = move.func(p)
+            for t in tuples:
+                if f(p.ranks, t) and not f(
+                        image.ranks, tuple(mapping[x] for x in t)):
+                    return True
+    return False
+
+
+def _some_move_breaks_backward(letter, rel, n):
+    # a move breaks rel backward when the image holds it and the source not
+    f = relations.evaluator(rel)
+    tuples = list(permutations(range(n), relations.arity(rel)))
+    for move in letter_moves(letter, n):
+        for p in enumerate_patterns(n):
+            image, mapping = move.func(p)
+            for t in tuples:
+                if not f(p.ranks, t) and f(
+                        image.ranks, tuple(mapping[x] for x in t)):
+                    return True
+    return False
 
 
 def test_backward_direction_agrees_for_involutions():
     for g in (REV1, REV2, REVREV, SW):
+        letter = KIND_LETTER[g.kind]
         for rel in relations.RELATION_NAMES:
-            fwd = generator_preserves(g, rel, 4)
-            bwd = generator_preserves(g, rel, 4, backward=True)
-            assert fwd == bwd, (g, rel)
+            bwd = not _some_move_breaks_backward(letter, rel, 4)
+            assert letter_preserves(letter, rel) == bwd, (g, rel)
 
 
 def test_backward_direction_agrees_for_turn_family():
     # all cuts together form an inverse-closed family
     g = GeneratorId("t1", None)
+    letter = KIND_LETTER[g.kind]
     for rel in relations.RELATION_NAMES:
-        assert generator_preserves(g, rel, 4) == generator_preserves(
-            g, rel, 4, backward=True), rel
+        bwd = not _some_move_breaks_backward(letter, rel, 4)
+        assert letter_preserves(letter, rel) == bwd, rel
+
+
+def test_letter_preserves_is_local():
+    # the scan at size = arity decides the cell at size arity + 1 as well
+    for letter in LETTERS:
+        for rel in relations.RELATION_NAMES:
+            n = relations.arity(rel) + 1
+            if letter in "ij":
+                n = min(n, 4)
+            assert letter_preserves(letter, rel) == (
+                not _some_move_breaks(letter, rel, n)), (letter, rel)
+
+
+def test_letter_moves_closed_under_inverses():
+    # every move on every pattern is undone by some move of the same letter
+    for letter in LETTERS:
+        for n in range(1, 5):
+            moves = letter_moves(letter, n)
+            for p in enumerate_patterns(n):
+                for move in moves:
+                    image, mapping = move.func(p)
+                    undone = []
+                    for back in moves:
+                        q, step = back.func(image)
+                        undone.append(q == p and all(
+                            step[mapping[x]] == x for x in range(n)))
+                    assert any(undone), (letter, move.text, p)
 
 
 def test_normalize_generators():
@@ -98,14 +148,16 @@ def test_group_row_spot_checks(gens, label, marked):
     result = group_row(gens)
     assert result.row.label == label
     assert _names(result.row.bits) == marked
-    assert result.unconfirmed == []
     assert set(result.witnesses) == set(relations.RELATION_NAMES) - marked
 
 
 def test_full_table_shape():
     table = full_table()
     assert [row.label for row in table.rows] == LABELS_BY_MASK
-    assert table.unconfirmed == ()
+    # every false cell, and only those, carries a witness
+    assert set(table.witnesses) == {
+        (row.label, rel) for row in table.rows
+        for rel, bit in zip(relations.RELATION_NAMES, row.bits) if not bit}
     bits = {row.label: row.bits for row in table.rows}
     assert all(bits["bottom"])
     assert not any(bits["sym"])
@@ -154,7 +206,7 @@ def test_witnesses_are_single_moves():
 
 
 def test_find_witness_none_when_preserved():
-    assert find_witness(frozenset("e"), "btw1", max_size=4, max_word=1) is None
+    assert find_witness(frozenset("e"), "btw1") is None
 
 
 def test_diff_golden_regression():
@@ -223,24 +275,6 @@ def test_load_golden_rejects(tmp_path, body):
     path.write_text(text + "\n")
     with pytest.raises(ValueError):
         load_golden(str(path))
-
-
-def test_scramble_fast_path_matches_direct_check():
-    # replay every scramble move explicitly at small sizes
-    for letter in "ij":
-        for rel in relations.RELATION_NAMES:
-            f = relations.evaluator(rel)
-            ar = relations.arity(rel)
-            direct = True
-            for n in range(ar, 4):
-                for p in enumerate_patterns(n):
-                    for move in letter_moves(letter, n):
-                        image, mapping = move.func(p)
-                        for t in permutations(range(n), ar):
-                            if f(p.ranks, t) and not f(
-                                    image.ranks, tuple(mapping[x] for x in t)):
-                                direct = False
-            assert letter_preserves(letter, rel, 3) == direct, (letter, rel)
 
 
 def test_scramble_apply_shapes():
