@@ -21,14 +21,14 @@ from .behaviors import (
     Behavior, BehaviorClass, behavior_of_word, extend, compose, classify,
     named_group_table, subgroups, element_order, center,
 )
+from .letters import Witness, letter_witness, letter_preserves
 from .lattice import (
     ClosedSet, closure, closure_trace, enumerate_lattice, by_label,
     join, meet, minimal_label, hasse, export_dot,
 )
 from .preservation import (
-    PreservationRow, Witness, letter_witness, letter_preserves,
-    group_row, full_table, golden_table, load_golden, diff_golden,
-    find_witness,
+    PreservationRow, group_row, full_table, golden_table, load_golden,
+    diff_golden, find_witness,
 )
 from .orbits import (
     ConstantSet, OrbitCell, Sample, constant_set, cell_of, cells_of,

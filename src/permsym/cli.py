@@ -52,8 +52,15 @@ def _points(text):
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line, without the usage text."""
+
+    def error(self, message):
+        self.exit(2, "%s: error: %s\n" % (self.prog, message))
+
+
 def _parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="permsym",
         description="Verify the symmetry-group classification of two-order patterns.")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -69,7 +76,7 @@ def _parser():
     p.add_argument("--format", choices=("json", "dot", "text"), default="json")
     p.add_argument("--count-only", action="store_true")
 
-    p = sub.add_parser("closure", help="close a letter set under the rules")
+    p = sub.add_parser("closure", help="close a letter set under its invariants")
     p.add_argument("letters", help="letter set, e.g. abf")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -199,19 +206,18 @@ def _cmd_lattice(args):
 
 
 def _cmd_closure(args):
-    members, trace = lattice.closure_trace(set(args.letters))
+    members, kept = lattice.closure_trace(set(args.letters))
     label = lattice.minimal_label(members)
     if args.format == "json":
         print(json.dumps({
             "input": "".join(sorted(set(args.letters))),
             "members": "".join(sorted(members)),
             "label": label,
-            "trace": [{"rule": rule, "added": added} for rule, added in trace],
+            "preserves": list(kept),
         }, indent=2))
         return 0
     print("input: %s" % ("".join(sorted(set(args.letters))) or "-"))
-    for rule, added in trace:
-        print("  %s adds %s" % (rule, added))
+    print("preserves: %s" % (",".join(kept) or "-"))
     print("closed: %s" % ("".join(sorted(members)) or "-"))
     print("label: %s" % label)
     return 0

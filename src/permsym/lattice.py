@@ -1,83 +1,36 @@
-"""Closure-rule engine over the ten basic symmetry letters.
+"""Closed letter sets: the 39-element lattice of symmetry groups.
 
-Letters name the basic symmetry families:
-
-  a  reverse the second order          b  turn the second order
-  c  reverse the first order           d  turn the first order
-  e  reverse both orders               f  exchange the orders
-  g  exchange composed with e          h  the order-4 exchange rotation
-  i  arbitrary second-order scramble (first order kept)
-  j  arbitrary first-order scramble (second order kept)
-
-A set of letters is closed when no rule below adds anything.  Closing
-all 1024 subsets yields a fixed 39-element lattice; each element is
-labelled by its smallest generating subset.
+A set S of the ten letters of ``permsym.letters`` is closed when it
+holds every letter that preserves each relation all letters of S
+preserve: the Galois closure over the letter x relation preservation
+matrix.  A closed group is described by the relations it preserves
+(Bodirsky-Pinsker, "Reducts of Ramsey structures"), so closure, join
+(the closure of a union), meet and the Hasse diagram all order groups
+by the containment the preservation table computes: one closed set lies
+inside another exactly when its table row contains the other's.
+Closing all 1024 subsets yields a fixed 39-element lattice; each
+element is labelled by its smallest generating subset.
 """
 
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
-from .behaviors import generated_subgroup
+from .letters import LETTERS, letter_preserves
+from .relations import RELATION_NAMES
 
-LETTERS = "abcdefghij"
 FULL = frozenset(LETTERS)
-
-# Letters realized by a single order-exchanging or order-reversing map.
-BEHAVIOR_LETTERS = {
-    "a": "id/rev",
-    "c": "rev/id",
-    "e": "rev/rev",
-    "f": "sw",
-    "g": "sw.rev/rev",
-    "h": "sw.id/rev",
-}
-SWAP_LETTERS = frozenset("fgh")
-TURN_LETTERS = frozenset("bd")
+_ALL_RELATIONS = (1 << len(RELATION_NAMES)) - 1
 
 ClosedSet = namedtuple("ClosedSet", ["members", "name"])
 
 
-def _rule_turn_pairing(members):
-    # An order exchange conjugates one turn family into the other.
-    if members & SWAP_LETTERS and members & TURN_LETTERS:
-        return TURN_LETTERS - members
-    return frozenset()
-
-
-def _rule_rotation_reversal(members):
-    # The order-4 rotation squares to the double reversal.
-    if "h" in members:
-        return frozenset("e") - members
-    return frozenset()
-
-
-def _rule_behavior_subgroup(members):
-    # Behavior letters close under the subgroup their behaviors generate.
-    present = {BEHAVIOR_LETTERS[x] for x in members if x in BEHAVIOR_LETTERS}
-    if not present:
-        return frozenset()
-    subgroup = generated_subgroup(present)
-    forced = {x for x, name in BEHAVIOR_LETTERS.items() if name in subgroup}
-    return frozenset(forced) - members
-
-
-def _rule_order_absorption(members):
-    # A full one-order scramble plus any move not fixing that order is
-    # already the full symmetric group.
-    if "i" in members and members - {"i", "c", "d"}:
-        return FULL - members
-    if "j" in members and members - {"j", "a", "b"}:
-        return FULL - members
-    return frozenset()
-
-
-RULES = (
-    ("turn-pairing", _rule_turn_pairing),
-    ("rotation-reversal", _rule_rotation_reversal),
-    ("behavior-subgroup", _rule_behavior_subgroup),
-    ("order-absorption", _rule_order_absorption),
-)
+@lru_cache(maxsize=1)
+def _preserved_masks():
+    """Per letter, in LETTERS order, its preserved relations as a bitmask."""
+    return tuple(
+        sum(1 << k for k, rel in enumerate(RELATION_NAMES) if letter_preserves(x, rel))
+        for x in LETTERS)
 
 
 def _check_letters(s):
@@ -88,28 +41,20 @@ def _check_letters(s):
 
 
 def closure_trace(s):
-    """Close a letter set, recording (rule name, letters added) steps."""
-    members = set(_check_letters(s))
-    trace = []
-    changed = True
-    while changed:
-        changed = False
-        for name, rule in RULES:
-            added = rule(frozenset(members))
-            if added:
-                trace.append((name, "".join(sorted(added))))
-                members.update(added)
-                changed = True
-                break
-    return frozenset(members), trace
+    """Close a letter set: (members, relations every letter of s preserves).
+
+    The members are the letters that preserve each of those relations,
+    so the relations are what decide the closure.
+    """
+    masks = _preserved_masks()
+    kept = _ALL_RELATIONS
+    for x in _check_letters(s):
+        kept &= masks[LETTERS.index(x)]
+    members = frozenset(x for x, m in zip(LETTERS, masks) if m & kept == kept)
+    return members, tuple(rel for k, rel in enumerate(RELATION_NAMES) if kept >> k & 1)
 
 
 def closure(s):
-    return _closure_cached(_check_letters(s))
-
-
-@lru_cache(maxsize=None)
-def _closure_cached(s):
     return closure_trace(s)[0]
 
 
@@ -118,7 +63,7 @@ def _all_closed():
     seen = {}
     for k in range(len(LETTERS) + 1):
         for combo in combinations(LETTERS, k):
-            c = _closure_cached(frozenset(combo))
+            c = closure(combo)
             seen.setdefault(_bitmask(c), c)
     return tuple(seen[m] for m in sorted(seen))
 

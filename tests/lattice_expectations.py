@@ -4,14 +4,14 @@
 EXPECTED_MEMBERS = {
     "bottom": "",
     "a": "a", "b": "b", "c": "c", "d": "d", "e": "e",
-    "f": "f", "g": "g", "h": "eh", "i": "i", "j": "j",
-    "ab": "ab", "ac": "ace", "ad": "ad", "af": "acefgh", "aj": "aj",
+    "f": "f", "g": "g", "h": "eh", "i": "abi", "j": "cdj",
+    "ab": "ab", "ac": "ace", "ad": "ad", "af": "acefgh", "aj": "acdej",
     "bc": "bc", "bd": "bd", "be": "be", "bf": "bdf", "bg": "bdg",
-    "bh": "bdeh", "bj": "bj", "cd": "cd", "ci": "ci", "de": "de",
-    "di": "di", "ef": "efg",
-    "abc": "abce", "abd": "abd", "abf": "abcdefgh", "abj": "abj",
+    "bh": "bdeh", "bj": "bcdj", "cd": "cd", "ci": "abcei", "de": "de",
+    "di": "abdi", "ef": "efg",
+    "abc": "abce", "abd": "abd", "abf": "abcdefgh", "abj": "abcdej",
     "acd": "acde", "bcd": "bcd", "bde": "bde", "bef": "bdefg",
-    "cdi": "cdi", "abcd": "abcde",
+    "cdi": "abcdei", "abcd": "abcde",
     "sym": "abcdefghij",
 }
 
@@ -20,7 +20,7 @@ LABELS_BY_MASK = [
     "bottom", "a", "b", "ab", "c", "bc", "d", "ad", "bd", "abd",
     "cd", "bcd", "e", "be", "ac", "abc", "de", "bde", "acd", "abcd",
     "f", "bf", "g", "bg", "ef", "bef", "h", "bh", "af", "abf",
-    "i", "ci", "di", "cdi", "j", "aj", "bj", "abj", "sym",
+    "i", "di", "ci", "cdi", "j", "bj", "aj", "abj", "sym",
 ]
 
 # 37 labels between bottom and sym, in the published table's row order.

@@ -14,7 +14,7 @@ from itertools import chain, combinations, product
 
 import pytest
 
-from permsym import behaviors, lattice, preservation, ramsey, relations
+from permsym import behaviors, lattice, letters, preservation, ramsey, relations
 from permsym.patterns import (
     pattern_from_text, pattern_to_text, enumerate_patterns, T1, T2, T3, T4,
 )
@@ -32,8 +32,11 @@ def _report(num, ok, detail):
 
 
 def _fresh_lattice_timing():
-    behaviors.named_group_table.cache_clear()
-    lattice._closure_cached.cache_clear()
+    # The lattice is derived from the letter scan, so clear its caches too.
+    letters.letter_witness.cache_clear()
+    letters._images.cache_clear()
+    letters._truth.cache_clear()
+    lattice._preserved_masks.cache_clear()
     lattice._all_closed.cache_clear()
     start = time.perf_counter()
     elements = lattice.enumerate_lattice()

@@ -56,7 +56,7 @@ def test_closure_trace_text(capsys):
     assert code == 0
     assert out.splitlines() == [
         "input: h",
-        "  rotation-reversal adds e",
+        "preserves: r1,r2,r4,r9",
         "closed: eh",
         "label: h",
     ]
@@ -70,7 +70,7 @@ def test_closure_json(capsys):
         "input": "fg",
         "members": "efg",
         "label": "ef",
-        "trace": [{"rule": "behavior-subgroup", "added": "e"}],
+        "preserves": ["st", "r2", "r4", "r7"],
     }
 
 
@@ -161,6 +161,18 @@ def test_table_diff_against_corrected_golden(capsys, tmp_path):
                         _corrected_golden(tmp_path))
     assert code == 0
     assert out == "0 mismatches\n"
+
+
+@pytest.mark.parametrize("make", ["missing", "directory", "empty"])
+def test_table_golden_unreadable(capsys, tmp_path, make):
+    path = tmp_path / "golden.csv"
+    if make == "directory":
+        path.mkdir()
+    elif make == "empty":
+        path.write_text("")
+    code, out, err = _run(capsys, "table", "--diff", "--golden", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_witness_text(capsys):

@@ -7,6 +7,10 @@ from permsym.lattice import (
     closure, closure_trace, minimal_label, enumerate_lattice, by_label,
     find, join, meet, hasse, export_dot,
 )
+from permsym.behaviors import generated_subgroup
+from permsym.letters import letter_preserves
+from permsym.preservation import full_table
+from permsym.relations import RELATION_NAMES
 from lattice_expectations import EXPECTED_MEMBERS, LABELS_BY_MASK, PROPER_LABELS
 
 
@@ -48,30 +52,74 @@ def test_closure_is_monotone():
             assert closure(s) <= big
 
 
+def test_closure_keeps_every_shared_invariant():
+    # A letter that breaks a relation all of s preserves is outside s's group.
+    for s in _subsets(LETTERS):
+        shared = [rel for rel in RELATION_NAMES
+                  if all(letter_preserves(x, rel) for x in s)]
+        for x in closure(s):
+            assert all(letter_preserves(x, rel) for rel in shared), (s, x)
+
+
+# Letters realized by a single pair behavior of permsym.behaviors.
+BEHAVIOR_LETTERS = {"a": "id/rev", "c": "rev/id", "e": "rev/rev",
+                    "f": "sw", "g": "sw.rev/rev", "h": "sw.id/rev"}
+
+
+def _sound_lower_bound(s):
+    """Letters certainly inside the group s generates, without the matrix.
+
+    A one-order scramble contains the moves fixing that order, an order
+    exchange conjugates one turn family into the other, the order-4
+    rotation squares to the double reversal, and behavior letters close
+    under the subgroup their behaviors generate.
+    """
+    members = set(s)
+    while True:
+        grown = set(members)
+        if "i" in members:
+            grown |= set("ab")
+        if "j" in members:
+            grown |= set("cd")
+        if members & set("fgh") and members & set("bd"):
+            grown |= set("bd")
+        if "h" in members:
+            grown.add("e")
+        subgroup = generated_subgroup(
+            {BEHAVIOR_LETTERS[x] for x in members if x in BEHAVIOR_LETTERS})
+        grown |= {x for x, name in BEHAVIOR_LETTERS.items() if name in subgroup}
+        if grown == members:
+            return frozenset(members)
+        members = grown
+
+
+def test_closure_contains_sound_lower_bound():
+    for s in _subsets(LETTERS):
+        assert _sound_lower_bound(s) <= closure(s), s
+
+
 def test_closure_rejects_unknown_letters():
     with pytest.raises(ValueError):
         closure("ax")
 
 
 TRACE_CASES = [
-    ("h", "eh", [("rotation-reversal", "e")]),
-    ("bf", "bdf", [("turn-pairing", "d")]),
-    ("fg", "efg", [("behavior-subgroup", "e")]),
-    ("ai", "abcdefghij", [("order-absorption", "bcdefghj")]),
-    ("a", "a", []),
+    ("h", "eh", ("r1", "r2", "r4", "r9")),
+    ("bf", "bdf", ("r3", "r4", "r7")),
+    ("fg", "efg", ("st", "r2", "r4", "r7")),
+    ("ai", "abi", ("lt1", "btw1", "cyc1", "sep1")),
+    ("a", "a", ("lt1", "btw1", "cyc1", "sep1", "btw2", "sep2", "r2", "r4")),
 ]
 
 
-@pytest.mark.parametrize("start,expect,steps", TRACE_CASES)
-def test_closure_traces(start, expect, steps):
-    members, trace = closure_trace(start)
+@pytest.mark.parametrize("start,expect,preserves", TRACE_CASES)
+def test_closure_traces(start, expect, preserves):
+    members, kept = closure_trace(start)
     assert members == frozenset(expect)
-    assert trace == steps
-    # replaying the trace reconstructs the closure
-    rebuilt = set(start)
-    for _, added in trace:
-        rebuilt.update(added)
-    assert frozenset(rebuilt) == members
+    assert kept == preserves
+    # the preserved relations decide the closure
+    assert members == {x for x in LETTERS
+                       if all(letter_preserves(x, rel) for rel in kept)}
 
 
 def test_minimal_label_examples():
@@ -157,7 +205,7 @@ def test_hasse_shape():
     edges = hasse()
     assert len(edges) == 86
     atoms = sorted(high for low, high in edges if low == "bottom")
-    assert atoms == ["a", "b", "c", "d", "e", "f", "g", "i", "j"]
+    assert atoms == ["a", "b", "c", "d", "e", "f", "g"]
     below_top = sorted(low for low, high in edges if high == "sym")
     assert below_top == ["abf", "abj", "cdi"]
 
@@ -180,3 +228,23 @@ def test_export_dot():
     assert sum(1 for x in lines if "->" in x) == 86
     assert '  "bottom" -> "a";' in lines
     assert '  "abf" -> "sym";' in lines
+
+
+def test_order_join_and_covers_follow_table_rows():
+    rows = {row.label: row.bits for row in full_table().rows}
+
+    def inside(x, y):
+        # x's group lies in y's iff y's row keeps a subset of x's relations
+        return all(kx or not ky for kx, ky in zip(rows[x], rows[y]))
+
+    elements = enumerate_lattice()
+    for x in elements:
+        for y in elements:
+            assert (x.members <= y.members) == inside(x.name, y.name), (x, y)
+            both = tuple(kx and ky for kx, ky in zip(rows[x.name], rows[y.name]))
+            assert rows[join(x, y).name] == both, (x.name, y.name)
+    labels = [x.name for x in elements]
+    for low, high in hasse():
+        assert low != high and inside(low, high)
+        assert not any(inside(low, mid) and inside(mid, high)
+                       for mid in labels if mid not in (low, high)), (low, high)

@@ -8,11 +8,13 @@ from permsym.generators import (
     GeneratorId, REV1, REV2, REVREV, SW, turn_first, turn_second, word_from_text, apply_word,
 )
 from permsym.lattice import LETTERS, enumerate_lattice
+from permsym.letters import (
+    letter_words, letter_moves, letter_preserves, letter_matrix, _scramble_apply,
+)
 from permsym.preservation import (
     CellDiff, PreservationRow, KIND_LETTER,
-    letter_words, letter_moves, letter_preserves, letter_matrix,
     normalize_generators, find_witness, group_row,
-    full_table, golden_table, load_golden, diff_golden, _scramble_apply,
+    full_table, golden_table, load_golden, diff_golden,
 )
 from lattice_expectations import LABELS_BY_MASK, PROPER_LABELS
 
