@@ -4,7 +4,7 @@ The package mechanically verifies the classification of the closed
 symmetry groups sitting above the automorphisms of a pair of linear
 orders: the 39-element lattice of groups, the table recording which of
 20 invariant relations each group preserves, orbit-cell behavior checks
-and tiny exhaustive Ramsey checks.
+and exact desk-scale Ramsey checks.
 """
 
 from .patterns import (

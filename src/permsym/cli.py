@@ -149,6 +149,8 @@ def _table_order(rows):
 
 
 def _cmd_table(args):
+    if args.golden and not args.diff:
+        raise ValueError("--golden needs --diff")
     result = preservation.full_table()
     golden = preservation.load_golden(args.golden) if args.golden else None
     rows = _table_order(result.rows)

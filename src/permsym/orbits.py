@@ -96,11 +96,11 @@ def _observe(sample, pairs):
     observed = {}
     first_pair = {}
     counterexample = None
-    seen = []
+    seen = set()
     for x, y in pairs:
         src = pair_type(sample.source, x, y)
         dst = pair_type(sample.image, sample.mapping[x], sample.mapping[y])
-        seen.append((src, dst))
+        seen.add((src, dst))
         if src not in observed:
             observed[src] = dst
             first_pair[src] = (x, y)
@@ -108,8 +108,8 @@ def _observe(sample, pairs):
             counterexample = (first_pair[src], (x, y))
     # behaviors must explain every sampled pair, not just the first per type
     behaviors = tuple(
-        b for b in ALL_BEHAVIORS
-        if all(extend(b)[s] == d for s, d in seen))
+        b for b, act in zip(ALL_BEHAVIORS, map(extend, ALL_BEHAVIORS))
+        if all(act[s] == d for s, d in seen))
     consistent = counterexample is None and bool(behaviors)
     return observed, behaviors, consistent, counterexample
 

@@ -1,16 +1,20 @@
-"""Tiny-scale exhaustive checks of the pattern Ramsey property.
+"""Tiny-scale exact checks of the pattern Ramsey property.
 
 A host pattern witnesses (gamma, omega) when every 2-coloring of the
 gamma-copies inside it admits an omega-copy all of whose gamma-subcopies
-share one color.  Everything here is brute force with an explicit
-coloring budget; an over-budget check answers "infeasible", never a
-guess.
+share one color.  Each host becomes a hypergraph once: its vertices are
+the gamma-copies, and each omega-copy is an edge holding its
+gamma-subcopies.  The host is a witness iff that hypergraph has no
+proper 2-coloring (no edge one color; "property B" fails).  A
+backtracking search for a proper 2-coloring of the copy hypergraph
+decides this, gated by the 2^m budget on the m gamma-copies; an
+over-budget check answers "infeasible", never a guess.
 """
 
 from collections import namedtuple
 from itertools import combinations
 
-from .patterns import sub_pattern, copies_of, enumerate_patterns
+from .patterns import copies_of, enumerate_patterns
 
 INFEASIBLE = "infeasible"
 COLORING_BUDGET = 2 ** 24
@@ -18,40 +22,78 @@ COLORING_BUDGET = 2 ** 24
 SearchResult = namedtuple("SearchResult", ["pattern", "infeasible"])
 
 
-def _check_coloring(delta, gamma, chi):
-    copies = copies_of(delta, gamma)
+def _copy_edges(delta, gamma, copies, omega):
+    """Each omega-copy of delta, in copies_of order, with its edge mask.
+
+    Bit k of the mask is set iff the gamma-copy copies[k] lies inside
+    the omega-copy.
+    """
+    index = {c: k for k, c in enumerate(copies)}
+    edges = []
+    for ocopy in copies_of(delta, omega):
+        mask = 0
+        for s in combinations(ocopy, gamma.n):
+            k = index.get(s)
+            if k is not None:
+                mask |= 1 << k
+        edges.append((ocopy, mask))
+    return edges
+
+
+def _check_coloring(copies, chi):
     if set(chi) != set(copies):
         raise ValueError("coloring must be total on the %d copies" % len(copies))
     for v in chi.values():
         if v not in (0, 1):
             raise ValueError("colors must be 0 or 1, got %r" % (v,))
-    return copies
 
 
 def find_mono_copy(delta, gamma, omega, chi):
     """First omega-copy in delta whose gamma-subcopies are one color, or None."""
-    _check_coloring(delta, gamma, chi)
-    for ocopy in copies_of(delta, omega):
-        colors = set()
-        for s in combinations(ocopy, gamma.n):
-            if sub_pattern(delta, s) == gamma:
-                colors.add(chi[s])
-        if len(colors) <= 1:
+    copies = copies_of(delta, gamma)
+    _check_coloring(copies, chi)
+    ones = sum(1 << k for k, c in enumerate(copies) if chi[c])
+    for ocopy, mask in _copy_edges(delta, gamma, copies, omega):
+        if (mask & ones) in (0, mask):
             return ocopy
     return None
 
 
+def _has_proper_coloring(m, masks):
+    """True iff some coloring of bits 0..m-1 leaves no mask one color.
+
+    Every mask must hold at least two bits.  Copies are colored in index
+    order and an edge is tested when its highest copy gets its color.
+    Copy 0 takes color 0: swapping the colors keeps a coloring proper.
+    """
+    if not masks:
+        return True
+    closing = [[] for _ in range(m)]
+    for mask in masks:
+        closing[mask.bit_length() - 1].append(mask)
+    stack = [(1, 0)]
+    while stack:
+        k, ones = stack.pop()
+        if any((mask & ones) in (0, mask) for mask in closing[k - 1]):
+            continue
+        if k == m:
+            return True
+        stack.append((k + 1, ones | (1 << k)))
+        stack.append((k + 1, ones))
+    return False
+
+
 def check_ramsey_witness(delta, gamma, omega, budget=COLORING_BUDGET):
-    """Exhaustively test all colorings; True/False, or INFEASIBLE over budget."""
+    """True iff every coloring has a one-color omega-copy; INFEASIBLE over budget."""
     copies = copies_of(delta, gamma)
     m = len(copies)
     if m >= budget.bit_length() or 2 ** m > budget:
         return INFEASIBLE
-    for mask in range(2 ** m):
-        chi = {copies[k]: (mask >> k) & 1 for k in range(m)}
-        if find_mono_copy(delta, gamma, omega, chi) is None:
-            return False
-    return True
+    masks = [mask for _, mask in _copy_edges(delta, gamma, copies, omega)]
+    # an edge with at most one copy is one color under every coloring
+    if any((mask & (mask - 1)) == 0 for mask in masks):
+        return True
+    return not _has_proper_coloring(m, masks)
 
 
 def search_witness(gamma, omega, max_n, budget=COLORING_BUDGET):

@@ -175,6 +175,12 @@ def test_table_golden_unreadable(capsys, tmp_path, make):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_table_golden_needs_diff(capsys, tmp_path):
+    code, out, err = _run(capsys, "table", "--golden", _corrected_golden(tmp_path))
+    assert code == 2 and out == ""
+    assert err == "error: --golden needs --diff\n"
+
+
 def test_witness_text(capsys):
     code, out, _ = _run(capsys, "witness", "e", "cyc1")
     lines = out.splitlines()
@@ -332,6 +338,9 @@ def test_ramsey_search_command(capsys):
                         "--omega", "21", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"pattern": "321", "infeasible": []}
+    code, out, err = _run(capsys, "ramsey-search", "--gamma", "12",
+                          "--omega", "123", "--max-n", "6")
+    assert (code, out, err) == (0, "123456\n", "")
 
 
 def test_ramsey_search_rejects_negative_max_n(capsys):

@@ -1,4 +1,5 @@
-from itertools import product
+import time
+from itertools import combinations, product
 
 import pytest
 
@@ -11,6 +12,7 @@ from permsym.ramsey import (
 POINT = pattern_from_text("1")
 UP = pattern_from_text("12")
 DOWN = pattern_from_text("21")
+UP3 = pattern_from_text("123")
 
 
 def _point_coloring(delta, colors):
@@ -115,3 +117,67 @@ def test_search_witness_reports_infeasible_hosts():
     assert result.pattern is None
     assert len(result.infeasible) == 6
     assert all(d.n == 3 for d in result.infeasible)
+
+
+def _brute_force_check(delta, gamma, omega):
+    # reference: try every coloring of the gamma-copies in turn
+    copies = copies_of(delta, gamma)
+    subcopies = [
+        [s for s in combinations(ocopy, gamma.n) if sub_pattern(delta, s) == gamma]
+        for ocopy in copies_of(delta, omega)]
+    for bits in product((0, 1), repeat=len(copies)):
+        chi = dict(zip(copies, bits))
+        if not any(len({chi[s] for s in subs}) <= 1 for subs in subcopies):
+            return False
+    return True
+
+
+def _patterns(max_n):
+    return [p for n in range(max_n + 1) for p in enumerate_patterns(n)]
+
+
+def test_check_matches_brute_force_on_small_hosts():
+    for delta in _patterns(4):
+        for gamma in _patterns(2):
+            for omega in _patterns(3):
+                assert check_ramsey_witness(delta, gamma, omega) is \
+                    _brute_force_check(delta, gamma, omega), (delta, gamma, omega)
+
+
+@pytest.mark.parametrize("gamma,omega", [(POINT, UP), (POINT, UP3), (UP, UP3)])
+def test_check_matches_brute_force_on_size_5_hosts(gamma, omega):
+    for delta in enumerate_patterns(5):
+        assert check_ramsey_witness(delta, gamma, omega) is \
+            _brute_force_check(delta, gamma, omega), delta
+
+
+@pytest.mark.parametrize("delta,gamma,omega,expect", [
+    ("21", "12", "21", True),   # the omega-copy holds no gamma-copy
+    ("12", "12", "12", True),   # the omega-copy holds one gamma-copy
+    ("12", "1", "21", False),   # no omega-copy at all
+])
+def test_check_ramsey_witness_edge_cases(delta, gamma, omega, expect):
+    delta, gamma, omega = (pattern_from_text(t) for t in (delta, gamma, omega))
+    assert check_ramsey_witness(delta, gamma, omega) is expect
+    assert _brute_force_check(delta, gamma, omega) is expect
+
+
+def test_ramsey_number_r33():
+    # increasing pairs of 12...n form K_n and its 123-copies are triangles
+    assert check_ramsey_witness(pattern_from_text("123456"), UP, UP3) is True
+    for delta in enumerate_patterns(5):
+        assert check_ramsey_witness(delta, UP, UP3) is False, delta
+
+
+def test_pentagon_coloring_of_k5_has_no_mono_triangle():
+    host = pattern_from_text("12345")
+    chi = {(i, j): int(j - i in (2, 3)) for i, j in copies_of(host, UP)}
+    assert find_mono_copy(host, UP, UP3, chi) is None
+
+
+def test_search_witness_finds_r33_host_fast():
+    start = time.perf_counter()
+    result = search_witness(UP, UP3, 6)
+    elapsed = time.perf_counter() - start
+    assert result == SearchResult(pattern_from_text("123456"), ())
+    assert elapsed < 1.0
