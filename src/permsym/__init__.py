@@ -10,7 +10,7 @@ and exact desk-scale Ramsey checks.
 from .patterns import (
     Pattern, T1, T2, T3, T4, PAIR_TYPES, REVERSED_TYPE,
     pattern_from_text, pattern_to_text, from_points, pair_type,
-    sub_pattern, copies_of, enumerate_patterns, is_diagonal,
+    sub_pattern, copies_of, enumerate_patterns,
 )
 from .relations import RELATION_NAMES, arity, evaluate
 from .generators import (
@@ -27,12 +27,12 @@ from .lattice import (
     join, meet, minimal_label, hasse, export_dot,
 )
 from .preservation import (
-    PreservationRow, group_row, full_table, golden_table, load_golden,
+    PreservationRow, full_table, golden_table, load_golden,
     diff_golden, find_witness,
 )
 from .orbits import (
     ConstantSet, OrbitCell, Sample, constant_set, cell_of, cells_of,
-    behaves_like_on, behaves_like_between, check_canonical,
+    check_canonical,
 )
 from .ramsey import (
     INFEASIBLE, find_mono_copy, check_ramsey_witness, search_witness,

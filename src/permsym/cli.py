@@ -289,13 +289,11 @@ def _cmd_orbits(args):
 
 def _sample_point(value, n, what):
     """0-based index of a 1-based sample point, checked against size n."""
-    try:
-        k = int(value)
-    except (TypeError, ValueError):
-        raise ValueError("%s point %r is not an integer" % (what, value)) from None
-    if not 1 <= k <= n:
-        raise ValueError("%s point %d out of range 1..%d" % (what, k, n))
-    return k - 1
+    if type(value) is not int:
+        raise ValueError("%s point %s is not an integer" % (what, json.dumps(value)))
+    if not 1 <= value <= n:
+        raise ValueError("%s point %d out of range 1..%d" % (what, value, n))
+    return value - 1
 
 
 def _load_sample(path):

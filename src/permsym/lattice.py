@@ -60,12 +60,17 @@ def closure(s):
 
 @lru_cache(maxsize=1)
 def _all_closed():
-    seen = {}
+    """Closed set -> label, ordered by member bitmask.
+
+    Subsets are closed by size, then alphabetically; the first subset
+    to reach a closed set is its label.
+    """
+    labels = {}
     for k in range(len(LETTERS) + 1):
         for combo in combinations(LETTERS, k):
-            c = closure(combo)
-            seen.setdefault(_bitmask(c), c)
-    return tuple(seen[m] for m in sorted(seen))
+            labels.setdefault(closure(combo), "".join(combo) or "bottom")
+    labels[FULL] = "sym"
+    return dict(sorted(labels.items(), key=lambda item: _bitmask(item[0])))
 
 
 def _bitmask(members):
@@ -74,19 +79,10 @@ def _bitmask(members):
 
 def minimal_label(members):
     """Smallest generating subset, ties broken alphabetically."""
-    members = _check_letters(members)
-    if closure(members) != members:
+    label = _all_closed().get(_check_letters(members))
+    if label is None:
         raise ValueError("not a closed set: %r" % (sorted(members),))
-    if not members:
-        return "bottom"
-    if members == FULL:
-        return "sym"
-    base = sorted(members)
-    for k in range(1, len(base) + 1):
-        for combo in combinations(base, k):
-            if closure(frozenset(combo)) == members:
-                return "".join(combo)
-    raise AssertionError("unreachable: members generate themselves")
+    return label
 
 
 def enumerate_lattice():
@@ -96,7 +92,7 @@ def enumerate_lattice():
         raise RuntimeError(
             "expected 39 closed sets, found %d: %s"
             % (len(closed), sorted("".join(sorted(c)) for c in closed)))
-    return [ClosedSet(c, minimal_label(c)) for c in closed]
+    return [ClosedSet(c, name) for c, name in closed.items()]
 
 
 def by_label():
@@ -122,7 +118,10 @@ def meet(x, y):
 
 
 def hasse():
-    """Covering edges (lower name, upper name) of the 39-element order."""
+    """Covering edges (lower name, upper name) of the 39-element order.
+
+    Edges come in member-bitmask order of the lower, then the upper end.
+    """
     elements = enumerate_lattice()
     edges = []
     for low in elements:
@@ -133,8 +132,6 @@ def hasse():
                 low.members < mid.members < high.members for mid in elements)
             if not strict_between:
                 edges.append((low.name, high.name))
-    order = {x.name: _bitmask(x.members) for x in elements}
-    edges.sort(key=lambda e: (order[e[0]], order[e[1]]))
     return edges
 
 

@@ -55,42 +55,6 @@ def cells_of(cs):
     return out
 
 
-def _image_of(sample, points):
-    missing = [p for p in points if p not in sample.mapping]
-    if missing:
-        raise ValueError("sample undefined on points %s" % (sorted(missing),))
-
-
-def behaves_like_on(sample, points, b):
-    """True iff every sampled pair inside `points` transforms by behavior b."""
-    points = sorted(set(points))
-    _image_of(sample, points)
-    act = extend(b)
-    for x, y in combinations(points, 2):
-        src = pair_type(sample.source, x, y)
-        dst = pair_type(sample.image, sample.mapping[x], sample.mapping[y])
-        if dst != act[src]:
-            return False
-    return True
-
-
-def behaves_like_between(sample, xs, ys, b):
-    """True iff every cross pair (x in xs, y in ys) transforms by behavior b."""
-    xs, ys = sorted(set(xs)), sorted(set(ys))
-    if set(xs) & set(ys):
-        raise ValueError("point sets overlap: %s" % sorted(set(xs) & set(ys)))
-    _image_of(sample, xs)
-    _image_of(sample, ys)
-    act = extend(b)
-    for x in xs:
-        for y in ys:
-            src = pair_type(sample.source, x, y)
-            dst = pair_type(sample.image, sample.mapping[x], sample.mapping[y])
-            if dst != act[src]:
-                return False
-    return True
-
-
 def _observe(sample, pairs):
     """First image type per source type over the pairs; first conflict found."""
     observed = {}
@@ -116,28 +80,25 @@ def _observe(sample, pairs):
 
 def check_canonical(cs, sample):
     """Per-cell and per-cell-pair behavior report for a sampled map."""
-    defined = [
-        p for p in range(cs.pattern.n)
-        if p not in cs.constants and p in sample.mapping]
-    images = [sample.mapping[p] for p in defined]
+    grouped = {}
+    for cell, pts in sorted(cells_of(cs).items()):
+        pts = [p for p in pts if p in sample.mapping]
+        if pts:
+            grouped[cell] = pts
+    images = [sample.mapping[p] for pts in grouped.values() for p in pts]
     if len(set(images)) != len(images):
         raise ValueError("sample not injective on non-constant points")
-    grouped = {}
-    for p in defined:
-        grouped.setdefault(cell_of(cs, p), []).append(p)
-    order = sorted(grouped)
     cells = {}
-    for cell in order:
-        pts = sorted(grouped[cell])
+    for cell, pts in grouped.items():
         pairs = list(combinations(pts, 2))
         observed, behaviors, consistent, cx = _observe(sample, pairs)
         cells[cell] = CellReport(tuple(pts), observed, behaviors, consistent, cx)
     cell_pairs = {}
-    for ca, cb in combinations(order, 2):
+    for ca, cb in combinations(grouped, 2):
         pairs = [(x, y) for x in grouped[ca] for y in grouped[cb]]
         observed, behaviors, consistent, cx = _observe(sample, pairs)
         cell_pairs[(ca, cb)] = CellReport(
-            (tuple(sorted(grouped[ca])), tuple(sorted(grouped[cb]))),
+            (tuple(grouped[ca]), tuple(grouped[cb])),
             observed, behaviors, consistent, cx)
     canonical = (all(c.consistent for c in cells.values())
                  and all(c.consistent for c in cell_pairs.values()))

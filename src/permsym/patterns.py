@@ -129,15 +129,6 @@ def enumerate_patterns(n):
         yield Pattern(ranks)
 
 
-def is_diagonal(p, s):
-    """True iff the points of s are pairwise straight, or pairwise twisted."""
-    idx = sorted(set(s))
-    for i in idx:
-        _check_index(p, i)
-    straight = [p.ranks[i] < p.ranks[j] for i, j in combinations(idx, 2)]
-    return all(straight) or not any(straight)
-
-
 def _check_index(p, i):
     if not 0 <= i < p.n:
         raise ValueError("point index %r out of range for size %d" % (i, p.n))

@@ -12,35 +12,13 @@ from functools import lru_cache
 from importlib import resources
 
 from . import relations
-from .generators import GeneratorId
-from .lattice import closure, minimal_label, enumerate_lattice
+from .lattice import enumerate_lattice
 # letter_preserves and letter_matrix are re-exported for existing callers.
-from .letters import (  # noqa: F401
-    LETTERS, letter_witness, letter_preserves, letter_matrix,
-)
+from .letters import letter_witness, letter_preserves, letter_matrix  # noqa: F401
 
 PreservationRow = namedtuple("PreservationRow", ["label", "bits"])
-RowResult = namedtuple("RowResult", ["row", "witnesses"])
 TableResult = namedtuple("TableResult", ["rows", "witnesses"])
 CellDiff = namedtuple("CellDiff", ["label", "relation", "golden", "computed"])
-
-# Which generator kind realizes which single-map letter.
-KIND_LETTER = {"rev2": "a", "t2": "b", "rev1": "c", "t1": "d",
-               "revrev": "e", "sw": "f"}
-
-
-def normalize_generators(gens):
-    """Map generator kinds or letters to the closed letter set they generate."""
-    found = set()
-    for g in gens:
-        token = g.kind if isinstance(g, GeneratorId) else g
-        if token in KIND_LETTER:
-            found.add(KIND_LETTER[token])
-        elif token in LETTERS:
-            found.add(token)
-        else:
-            raise ValueError("unknown generator or letter: %r" % (token,))
-    return closure(found)
 
 
 def find_witness(members, relation):
@@ -55,29 +33,18 @@ def find_witness(members, relation):
     return None
 
 
-def _row(members):
-    """Bits of one closed letter set and the witnesses of its false cells."""
-    found = {rel: find_witness(members, rel) for rel in relations.RELATION_NAMES}
-    bits = tuple(w is None for w in found.values())
-    return bits, {rel: w for rel, w in found.items() if w is not None}
-
-
-def group_row(gens):
-    """Preservation row of the closed group generated by gens, with witnesses."""
-    members = normalize_generators(gens)
-    bits, witnesses = _row(members)
-    return RowResult(PreservationRow(minimal_label(members), bits), witnesses)
-
-
 def full_table():
     """Rows for all 39 lattice elements, with witnesses for false cells."""
     rows = []
     witnesses = {}
     for element in enumerate_lattice():
-        bits, found = _row(element.members)
-        rows.append(PreservationRow(element.name, bits))
-        for rel, w in found.items():
-            witnesses[(element.name, rel)] = w
+        bits = []
+        for rel in relations.RELATION_NAMES:
+            w = find_witness(element.members, rel)
+            bits.append(w is None)
+            if w is not None:
+                witnesses[(element.name, rel)] = w
+        rows.append(PreservationRow(element.name, tuple(bits)))
     return TableResult(tuple(rows), witnesses)
 
 

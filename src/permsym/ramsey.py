@@ -7,8 +7,8 @@ the gamma-copies, and each omega-copy is an edge holding its
 gamma-subcopies.  The host is a witness iff that hypergraph has no
 proper 2-coloring (no edge one color; "property B" fails).  A
 backtracking search for a proper 2-coloring of the copy hypergraph
-decides this, gated by the 2^m budget on the m gamma-copies; an
-over-budget check answers "infeasible", never a guess.
+decides this for hosts with at most MAX_COPIES gamma-copies (2^24
+colorings); a larger host answers "infeasible", never a guess.
 """
 
 from collections import namedtuple
@@ -17,7 +17,7 @@ from itertools import combinations
 from .patterns import copies_of, enumerate_patterns
 
 INFEASIBLE = "infeasible"
-COLORING_BUDGET = 2 ** 24
+MAX_COPIES = 24
 
 SearchResult = namedtuple("SearchResult", ["pattern", "infeasible"])
 
@@ -83,11 +83,11 @@ def _has_proper_coloring(m, masks):
     return False
 
 
-def check_ramsey_witness(delta, gamma, omega, budget=COLORING_BUDGET):
-    """True iff every coloring has a one-color omega-copy; INFEASIBLE over budget."""
+def check_ramsey_witness(delta, gamma, omega):
+    """True iff every coloring has a one-color omega-copy; INFEASIBLE past MAX_COPIES."""
     copies = copies_of(delta, gamma)
     m = len(copies)
-    if m >= budget.bit_length() or 2 ** m > budget:
+    if m > MAX_COPIES:
         return INFEASIBLE
     masks = [mask for _, mask in _copy_edges(delta, gamma, copies, omega)]
     # an edge with at most one copy is one color under every coloring
@@ -96,10 +96,10 @@ def check_ramsey_witness(delta, gamma, omega, budget=COLORING_BUDGET):
     return not _has_proper_coloring(m, masks)
 
 
-def search_witness(gamma, omega, max_n, budget=COLORING_BUDGET):
+def search_witness(gamma, omega, max_n):
     """Smallest host (then lexicographically least) passing the check.
 
-    Hosts whose check went over budget are reported in `infeasible`;
+    Hosts whose check was infeasible are reported in `infeasible`;
     pattern is None when no host up to max_n verifies.
     """
     if max_n < 0:
@@ -107,7 +107,7 @@ def search_witness(gamma, omega, max_n, budget=COLORING_BUDGET):
     skipped = []
     for n in range(max_n + 1):
         for delta in enumerate_patterns(n):
-            result = check_ramsey_witness(delta, gamma, omega, budget)
+            result = check_ramsey_witness(delta, gamma, omega)
             if result is True:
                 return SearchResult(delta, tuple(skipped))
             if result == INFEASIBLE:

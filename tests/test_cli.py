@@ -300,9 +300,18 @@ _PATTERNS_123 = '"source_pattern": "123", "image_pattern": "123"'
      "source point 9 out of range 1..3"),
     ('{%s, "map": [[1, 1], [1, 1]]}' % _PATTERNS_123,
      "source point 1 mapped twice"),
+    ('{%s, "map": [[1, 1]], "constants": [2.5]}' % _PATTERNS_123,
+     "constant point 2.5 is not an integer"),
+    ('{%s, "map": [[1.9, 1], [true, 2]]}' % _PATTERNS_123,
+     "source point 1.9 is not an integer"),
+    ('{%s, "map": [[1, 1], [true, 2]]}' % _PATTERNS_123,
+     "source point true is not an integer"),
+    ('{%s, "map": [[1, "2"]]}' % _PATTERNS_123,
+     'image point "2" is not an integer'),
     (None, "cannot read sample"),
 ], ids=["missing-key", "not-an-object", "source-out-of-range",
-        "repeated-source", "missing-file"])
+        "repeated-source", "float-constant", "float-source", "bool-source",
+        "string-image", "missing-file"])
 def test_check_canonical_rejects_bad_input(capsys, monkeypatch, tmp_path,
                                            text, message):
     path = str(tmp_path / "missing.json")

@@ -2,13 +2,12 @@ from itertools import chain, combinations
 
 import pytest
 
-from permsym.patterns import pattern_from_text, enumerate_patterns, T1, T2, T3, T4
+from permsym.patterns import pattern_from_text, enumerate_patterns, T1, T2
 from permsym.generators import REV1, REV2, REVREV, SW, apply_word
 from permsym.behaviors import Behavior, NAMED_BEHAVIORS, behavior_of_word
 from permsym.orbits import (
     ALL_BEHAVIORS, OrbitCell, Sample,
-    constant_set, cell_of, cells_of,
-    behaves_like_on, behaves_like_between, check_canonical,
+    constant_set, cell_of, cells_of, check_canonical,
 )
 
 WORDS = [[]]
@@ -74,45 +73,26 @@ def test_cellmates_sit_alike_relative_to_constants():
                     assert (r[c] < r[x]) == (r[c] < r[y])
 
 
-def test_behaves_like_on_examples():
-    p = pattern_from_text("3142")
-    ident = Sample(p, p, {k: k for k in range(4)})
-    assert behaves_like_on(ident, range(4), NAMED_BEHAVIORS["id"])
-    assert not behaves_like_on(ident, range(4), NAMED_BEHAVIORS["id/rev"])
-    flipped = _word_sample([REV1], p)
-    assert behaves_like_on(flipped, range(4), Behavior(T4, T3))
-    assert not behaves_like_on(flipped, range(4), NAMED_BEHAVIORS["id"])
-    # a single point gives no pairs to test
-    assert behaves_like_on(flipped, [2], NAMED_BEHAVIORS["id"])
-
-
-def test_behaves_like_on_partial_map():
-    p = pattern_from_text("12")
-    broken = Sample(p, p, {0: 0})
-    with pytest.raises(ValueError):
-        behaves_like_on(broken, [0, 1], NAMED_BEHAVIORS["id"])
-
-
-def test_behaves_like_between_examples():
-    p = pattern_from_text("1234")
-    ident = Sample(p, p, {k: k for k in range(4)})
-    assert behaves_like_between(ident, [0, 1], [2, 3], NAMED_BEHAVIORS["id"])
-    assert not behaves_like_between(ident, [0, 1], [2, 3], NAMED_BEHAVIORS["id/rev"])
-    with pytest.raises(ValueError):
-        behaves_like_between(ident, [0, 1], [1, 2], NAMED_BEHAVIORS["id"])
-
-
 def test_words_behave_like_their_behavior():
     for word in WORDS:
         b = behavior_of_word(word)
-        for p in enumerate_patterns(4):
-            sample = _word_sample(word, p)
-            points = range(4)
-            assert behaves_like_on(sample, points, b)
-            for k in range(1, 4):
-                for xs in combinations(points, k):
-                    ys = tuple(sorted(set(points) - set(xs)))
-                    assert behaves_like_between(sample, xs, ys, b)
+        for cs in _all_constant_sets(4):
+            report = check_canonical(cs, _word_sample(word, cs.pattern))
+            assert report.canonical, (word, cs)
+            for rep in chain(report.cells.values(), report.cell_pairs.values()):
+                assert b in rep.behaviors, (word, cs)
+
+
+def test_check_canonical_skips_unmapped_points():
+    # constant 3 splits 123456 into cells (0,0) = {1,2} and (1,1) = {4,5,6}
+    p = pattern_from_text("123456")
+    cs = constant_set(p, [2])
+    assert set(cells_of(cs)) == {OrbitCell(0, 0), OrbitCell(1, 1)}
+    report = check_canonical(cs, Sample(p, p, {2: 2, 3: 3, 5: 5}))
+    assert set(report.cells) == {OrbitCell(1, 1)}
+    assert report.cells[OrbitCell(1, 1)].points == (3, 5)
+    assert report.cell_pairs == {}
+    assert report.canonical and not report.mixed
 
 
 def test_check_canonical_of_restricted_double_reversal():

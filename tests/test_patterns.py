@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from permsym.patterns import (
     Pattern, T1, T2, T3, T4,
     pattern_from_text, pattern_to_text, from_points, pair_type,
-    sub_pattern, copies_of, enumerate_patterns, is_diagonal,
+    sub_pattern, copies_of, enumerate_patterns,
 )
 
 perms = st.integers(min_value=0, max_value=6).flatmap(
@@ -123,20 +123,3 @@ def test_enumerate_patterns():
     with pytest.raises(ValueError):
         list(enumerate_patterns(-1))
 
-
-def test_is_diagonal():
-    p = pattern_from_text("213")
-    assert is_diagonal(p, [0, 2])          # straight pair
-    assert is_diagonal(p, [0, 1])          # twisted pair
-    assert not is_diagonal(p, [0, 1, 2])   # mixed
-    assert is_diagonal(pattern_from_text("123"), [0, 1, 2])
-    assert is_diagonal(pattern_from_text("321"), [0, 1, 2])
-    assert is_diagonal(p, [1])
-
-
-@given(perms)
-def test_diagonal_means_all_pairs_agree(ranks):
-    p = Pattern(ranks)
-    pts = list(range(p.n))
-    types = {pair_type(p, i, j) for i in pts for j in pts if i < j}
-    assert is_diagonal(p, pts) == (types <= {T1} or types <= {T2})

@@ -5,15 +5,14 @@ import pytest
 from permsym import relations
 from permsym.patterns import pattern_from_text, enumerate_patterns
 from permsym.generators import (
-    GeneratorId, REV1, REV2, REVREV, SW, turn_first, turn_second, word_from_text, apply_word,
+    REV2, REVREV, SW, turn_first, turn_second, word_from_text, apply_word,
 )
-from permsym.lattice import LETTERS, enumerate_lattice
+from permsym.lattice import LETTERS, closure, enumerate_lattice, minimal_label
 from permsym.letters import (
     letter_words, letter_moves, letter_preserves, letter_matrix, _scramble_apply,
 )
 from permsym.preservation import (
-    CellDiff, PreservationRow, KIND_LETTER,
-    normalize_generators, find_witness, group_row,
+    CellDiff, PreservationRow, find_witness,
     full_table, golden_table, load_golden, diff_golden,
 )
 from lattice_expectations import LABELS_BY_MASK, PROPER_LABELS
@@ -51,6 +50,12 @@ def test_letter_preserves_validation():
         letter_preserves("a", "nope")
 
 
+def _letter_of(g):
+    """The letter whose whole move family is the plain move g."""
+    [letter] = [x for x in "acef" if letter_words(x, 0) == [[g]]]
+    return letter
+
+
 @pytest.mark.parametrize("g,rel,expect", [
     (REVREV, "btw1", True),
     (REVREV, "lt1", False),
@@ -58,8 +63,7 @@ def test_letter_preserves_validation():
     (SW, "dow", False),
 ])
 def test_generator_preserves_examples(g, rel, expect):
-    # a plain move is the whole move family of its letter
-    assert letter_preserves(KIND_LETTER[g.kind], rel) is expect
+    assert letter_preserves(_letter_of(g), rel) is expect
 
 
 def _some_move_breaks(letter, rel, n):
@@ -90,17 +94,15 @@ def _some_move_breaks_backward(letter, rel, n):
 
 
 def test_backward_direction_agrees_for_involutions():
-    for g in (REV1, REV2, REVREV, SW):
-        letter = KIND_LETTER[g.kind]
+    for letter in "acef":  # rev2, rev1, revrev, sw
         for rel in relations.RELATION_NAMES:
             bwd = not _some_move_breaks_backward(letter, rel, 4)
-            assert letter_preserves(letter, rel) == bwd, (g, rel)
+            assert letter_preserves(letter, rel) == bwd, (letter, rel)
 
 
 def test_backward_direction_agrees_for_turn_family():
-    # all cuts together form an inverse-closed family
-    g = GeneratorId("t1", None)
-    letter = KIND_LETTER[g.kind]
+    # all cuts of t1 together form an inverse-closed family
+    letter = "d"
     for rel in relations.RELATION_NAMES:
         bwd = not _some_move_breaks_backward(letter, rel, 4)
         assert letter_preserves(letter, rel) == bwd, rel
@@ -133,24 +135,18 @@ def test_letter_moves_closed_under_inverses():
                     assert any(undone), (letter, move.text, p)
 
 
-def test_normalize_generators():
-    assert normalize_generators([REVREV]) == frozenset("e")
-    assert normalize_generators(["h"]) == frozenset("eh")
-    assert normalize_generators([SW, turn_first(2)]) == frozenset("bdf")
-    with pytest.raises(ValueError):
-        normalize_generators(["q"])
-
-
 @pytest.mark.parametrize("gens,label,marked", [
     ([REVREV], "e", ROW_E),
     ([SW], "f", ROW_F),
     ([REV2], "a", ROW_A),
 ])
 def test_group_row_spot_checks(gens, label, marked):
-    result = group_row(gens)
-    assert result.row.label == label
-    assert _names(result.row.bits) == marked
-    assert set(result.witnesses) == set(relations.RELATION_NAMES) - marked
+    assert minimal_label(closure({_letter_of(g) for g in gens})) == label
+    table = full_table()
+    [row] = [row for row in table.rows if row.label == label]
+    assert _names(row.bits) == marked
+    assert {rel for lab, rel in table.witnesses if lab == label} == (
+        set(relations.RELATION_NAMES) - marked)
 
 
 def test_full_table_shape():

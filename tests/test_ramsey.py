@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+from permsym import ramsey
 from permsym.patterns import pattern_from_text, enumerate_patterns, copies_of, sub_pattern
 from permsym.ramsey import (
     INFEASIBLE, SearchResult,
@@ -68,9 +69,10 @@ def test_check_ramsey_witness_examples(delta, expect):
     assert check_ramsey_witness(pattern_from_text(delta), POINT, UP) is expect
 
 
-def test_check_ramsey_witness_budget():
+def test_check_ramsey_witness_budget(monkeypatch):
+    monkeypatch.setattr(ramsey, "MAX_COPIES", 2)
     assert check_ramsey_witness(
-        pattern_from_text("123"), POINT, UP, budget=4) == INFEASIBLE
+        pattern_from_text("123"), POINT, UP) == INFEASIBLE
 
 
 def _pigeonhole_oracle(delta, omega):
@@ -112,8 +114,9 @@ def test_search_witness_exhausts_small_sizes():
     assert search_witness(POINT, UP, 2) == SearchResult(None, ())
 
 
-def test_search_witness_reports_infeasible_hosts():
-    result = search_witness(POINT, UP, 3, budget=4)
+def test_search_witness_reports_infeasible_hosts(monkeypatch):
+    monkeypatch.setattr(ramsey, "MAX_COPIES", 2)
+    result = search_witness(POINT, UP, 3)
     assert result.pattern is None
     assert len(result.infeasible) == 6
     assert all(d.n == 3 for d in result.infeasible)
