@@ -10,12 +10,29 @@ asked for a witness, failed check), 2 usage error or bad input.
 """
 
 import argparse
+import importlib
 import json
 import os
 import sys
+import types
 
-from . import behaviors, lattice, orbits, preservation, ramsey, relations
 from .patterns import pattern_from_text, pattern_to_text, T1, T2, T3, T4
+
+
+class _LazyModule(types.ModuleType):
+    """A library module that is imported on its first attribute use.
+
+    Until then it is absent from ``sys.modules``, so each command loads
+    only the modules it runs.
+    """
+
+    def __getattr__(self, name):
+        return getattr(importlib.import_module(self.__name__), name)
+
+
+behaviors, lattice, orbits, preservation, ramsey, relations = (
+    _LazyModule("%s.%s" % (__package__, name)) for name in (
+        "behaviors", "lattice", "orbits", "preservation", "ramsey", "relations"))
 
 TYPE_NAMES = {T1: "t1", T2: "t2", T3: "t3", T4: "t4"}
 NAMES_TYPE = {v: k for k, v in TYPE_NAMES.items()}
@@ -316,8 +333,11 @@ def _load_sample(path):
         raise ValueError("map must be a list of [source, image] pairs")
     if not isinstance(constants, list):
         raise ValueError("constants must be a list")
-    source = pattern_from_text(str(data["source_pattern"]))
-    image = pattern_from_text(str(data["image_pattern"]))
+    for key in ("source_pattern", "image_pattern"):
+        if not isinstance(data[key], str):
+            raise ValueError("%s must be a string" % key)
+    source = pattern_from_text(data["source_pattern"])
+    image = pattern_from_text(data["image_pattern"])
     mapping = {}
     for s, d in pairs:
         s = _sample_point(s, source.n, "source")

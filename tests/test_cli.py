@@ -309,9 +309,13 @@ _PATTERNS_123 = '"source_pattern": "123", "image_pattern": "123"'
     ('{%s, "map": [[1, "2"]]}' % _PATTERNS_123,
      'image point "2" is not an integer'),
     (None, "cannot read sample"),
+    ('{"source_pattern": 123, "image_pattern": 123, "map": [[1, 1], [2, 2], [3, 3]]}',
+     "source_pattern must be a string"),
+    ('{"source_pattern": "123", "image_pattern": [1, 2, 3], "map": [[1, 1]]}',
+     "image_pattern must be a string"),
 ], ids=["missing-key", "not-an-object", "source-out-of-range",
         "repeated-source", "float-constant", "float-source", "bool-source",
-        "string-image", "missing-file"])
+        "string-image", "missing-file", "number-pattern", "list-pattern"])
 def test_check_canonical_rejects_bad_input(capsys, monkeypatch, tmp_path,
                                            text, message):
     path = str(tmp_path / "missing.json")

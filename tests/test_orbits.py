@@ -1,13 +1,15 @@
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from permsym.patterns import pattern_from_text, enumerate_patterns, T1, T2
+from permsym.patterns import (
+    Pattern, pattern_from_text, enumerate_patterns, pair_type, PAIR_TYPES, T1, T2)
 from permsym.generators import REV1, REV2, REVREV, SW, apply_word
-from permsym.behaviors import Behavior, NAMED_BEHAVIORS, behavior_of_word
+from permsym.behaviors import Behavior, NAMED_BEHAVIORS, behavior_of_word, extend
 from permsym.orbits import (
-    ALL_BEHAVIORS, OrbitCell, Sample,
-    constant_set, cell_of, cells_of, check_canonical,
+    ALL_BEHAVIORS, CellReport, OrbitCell, Report, Sample,
+    constant_set, cell_of, cells_of, check_canonical, _observe,
 )
 
 WORDS = [[]]
@@ -160,6 +162,13 @@ def test_check_canonical_requires_injectivity():
                         Sample(p, p, {0: 0, 1: 0, 2: 2}))
 
 
+@pytest.mark.parametrize("bad", [3, -1])
+def test_check_canonical_rejects_image_points_out_of_range(bad):
+    p = pattern_from_text("123")
+    with pytest.raises(ValueError, match="out of range"):
+        check_canonical(constant_set(p, []), Sample(p, p, {0: 0, 1: bad}))
+
+
 def test_single_point_cells_match_all_behaviors():
     p = pattern_from_text("21")
     sample = Sample(p, p, {0: 0, 1: 1})
@@ -173,3 +182,113 @@ def test_single_point_cells_match_all_behaviors():
     only = singles.cells[OrbitCell(1, 0)]
     assert only.observed == {}
     assert len(only.behaviors) == len(ALL_BEHAVIORS)
+
+
+# ---------------------------------------------------------------------------
+# Differential check against the ordered pair_type scan.  The oracle below
+# walks every pair in order, as check_canonical did before its key-set pass.
+
+def _scan(sample, pairs):
+    observed, first_pair, counterexample, seen = {}, {}, None, set()
+    for x, y in pairs:
+        src = pair_type(sample.source, x, y)
+        dst = pair_type(sample.image, sample.mapping[x], sample.mapping[y])
+        seen.add((src, dst))
+        if src not in observed:
+            observed[src] = dst
+            first_pair[src] = (x, y)
+        elif observed[src] != dst and counterexample is None:
+            counterexample = (first_pair[src], (x, y))
+    behaviors = tuple(b for b in ALL_BEHAVIORS
+                      if all(extend(b)[s] == d for s, d in seen))
+    return observed, behaviors, counterexample is None and bool(behaviors), counterexample
+
+
+def _scan_report(cs, sample):
+    grouped = {}
+    for cell, pts in sorted(cells_of(cs).items()):
+        pts = tuple(p for p in pts if p in sample.mapping)
+        if pts:
+            grouped[cell] = pts
+    images = [sample.mapping[p] for pts in grouped.values() for p in pts]
+    if len(set(images)) != len(images):
+        raise ValueError("sample not injective on non-constant points")
+    cells = {cell: CellReport(pts, *_scan(sample, combinations(pts, 2)))
+             for cell, pts in grouped.items()}
+    cell_pairs = {(a, b): CellReport((grouped[a], grouped[b]),
+                                     *_scan(sample, product(grouped[a], grouped[b])))
+                  for a, b in combinations(grouped, 2)}
+    canonical = all(c.consistent for c in chain(cells.values(), cell_pairs.values()))
+    sampled = [set(c.behaviors) for c in cells.values() if c.observed]
+    mixed = bool(sampled) and all(c.consistent for c in cells.values()) \
+        and not set.intersection(*sampled)
+    return Report(cells, cell_pairs, canonical, mixed)
+
+
+@st.composite
+def _samples(draw):
+    """A pattern of 2-40 points, 0-3 constants and a partial injective map.
+
+    The map is random (mostly non-canonical), a symmetry word (canonical)
+    or a symmetry word with the images of two points swapped.
+    """
+    n = draw(st.integers(2, 40))
+    source = Pattern(draw(st.permutations(range(n))))
+    constants = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+    kind = draw(st.sampled_from(("random", "word", "planted")))
+    if kind == "random":
+        size = n + draw(st.integers(0, 3))
+        image = Pattern(draw(st.permutations(range(size))))
+        mapping = dict(enumerate(draw(st.permutations(range(size)))[:n]))
+    else:
+        res = apply_word(draw(st.sampled_from(WORDS)), source)
+        image, mapping = res.pattern, dict(enumerate(res.mapping))
+        if kind == "planted":
+            x, y = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                 unique=True))
+            mapping[x], mapping[y] = mapping[y], mapping[x]
+    if draw(st.booleans()):
+        kept = draw(st.sets(st.integers(0, n - 1)))
+        mapping = {p: q for p, q in mapping.items() if p in kept}
+    return constant_set(source, constants), Sample(source, image, mapping)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_samples())
+def test_check_canonical_matches_ordered_scan(case):
+    cs, sample = case
+    assert check_canonical(cs, sample) == _scan_report(cs, sample)
+
+
+def _rows(sample, pts):
+    src, img, m = sample.source.ranks, sample.image.ranks, sample.mapping
+    return [(p, src[p], m[p], img[m[p]]) for p in pts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_samples(), st.randoms(use_true_random=False))
+def test_observe_matches_ordered_scan_on_any_point_sets(case, rng):
+    # Two cells of check_canonical never hold a T3 pair in cell order
+    # (a lower row or column comes first), so the key-set pass is also
+    # compared on two arbitrary disjoint point sets, where all four
+    # source types occur.
+    _, sample = case
+    pts = sorted(sample.mapping)
+    rng.shuffle(pts)
+    a, b = sorted(pts[:len(pts) // 2]), sorted(pts[len(pts) // 2:])
+    assert _observe(product, _rows(sample, a), _rows(sample, b)) \
+        == _scan(sample, product(a, b))
+    assert _observe(combinations, _rows(sample, a), 2) \
+        == _scan(sample, combinations(a, 2))
+
+
+def test_observe_covers_all_four_source_types():
+    # 21354 split as {p1, p5} x {p2, p3, p4} holds all four pair types,
+    # and the image 12453 moves two T3 pairs differently, so the ordered
+    # scan runs as well.
+    source, image = pattern_from_text("21354"), pattern_from_text("12453")
+    sample = Sample(source, image, {p: p for p in range(5)})
+    a, b = [0, 4], [1, 2, 3]
+    want = _scan(sample, product(a, b))
+    assert set(want[0]) == set(PAIR_TYPES) and want[3] == ((4, 1), (4, 2))
+    assert _observe(product, _rows(sample, a), _rows(sample, b)) == want
