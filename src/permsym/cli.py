@@ -281,7 +281,8 @@ def _cmd_witness(args):
 
 
 def _cmd_orbits(args):
-    cs = orbits.constant_set(args.pattern, args.constants)
+    cs = orbits.constant_set(args.pattern, [
+        _sample_point(c + 1, args.pattern.n, "constant") for c in args.constants])
     table = orbits.cells_of(cs)
     ordered = sorted(table)
     if args.format == "json":

@@ -62,19 +62,25 @@ def closure(s):
 def _all_closed():
     """Closed set -> label, ordered by member bitmask.
 
-    Subsets are closed by size, then alphabetically; the first subset
-    to reach a closed set is its label.
+    Subsets are closed by size, then alphabetically; the first subset to
+    reach a closed set (fixed by the relations the subset keeps, taken from
+    the subset without its lowest letter) is its label.
     """
-    labels = {}
+    masks = _preserved_masks()
+    kept = [_ALL_RELATIONS]
+    for s in range(1, 1 << len(LETTERS)):
+        kept.append(kept[s & (s - 1)] & masks[(s & -s).bit_length() - 1])
+    bits = [1 << x for x in range(len(LETTERS))]
+    first = {}
     for k in range(len(LETTERS) + 1):
-        for combo in combinations(LETTERS, k):
-            labels.setdefault(closure(combo), "".join(combo) or "bottom")
-    labels[FULL] = "sym"
-    return dict(sorted(labels.items(), key=lambda item: _bitmask(item[0])))
-
-
-def _bitmask(members):
-    return sum(1 << LETTERS.index(x) for x in members)
+        for combo in combinations(bits, k):
+            first.setdefault(kept[sum(combo)], combo)
+    labels = {sum(b for b, m in zip(bits, masks) if m & rels == rels):
+              "".join(LETTERS[b.bit_length() - 1] for b in combo) or "bottom"
+              for rels, combo in first.items()}
+    labels[(1 << len(LETTERS)) - 1] = "sym"
+    return {frozenset(x for k, x in enumerate(LETTERS) if members >> k & 1): label
+            for members, label in sorted(labels.items())}
 
 
 def minimal_label(members):

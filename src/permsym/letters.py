@@ -24,17 +24,26 @@ first hit is the witness:
   where m is the number of tuple points below k; reversals, the
   exchange and scrambles restrict to themselves.  So a violation at any
   size projects to one at size = arity.
+
+The scan's states are k-types at k = arity: a size-k pattern with an
+ordering of all its points, numbered pattern * k! + tuple with both in
+lexicographic order (``_space``: (k!)^2 entries per size, so small sizes
+only; the scan needs k <= 4, and scramble moves use it at their size).
+A move is one (image, mapping) index pair per pattern, and a word's
+pairs compose through the k! x k! table of point mappings.  A relation's
+truth is one byte per state, read as one big-endian int.  A move's truth
+after it gathers each image's bytes through the mapping; in ``before &
+~after`` the highest set bit is the first broken state: the witness.
 """
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import permutations
 from operator import itemgetter
 
 from . import relations
 from .patterns import enumerate_patterns, pattern_to_text
 from .generators import (
-    REV1, REV2, REVREV, SW, turn_first, turn_second, apply_word, word_to_text,
+    REV1, REV2, REVREV, SW, turn_first, turn_second, apply, apply_word, word_to_text,
 )
 
 LETTERS = "abcdefghij"
@@ -69,16 +78,38 @@ def letter_words(letter, n):
     raise ValueError("letter %r has no word moves" % (letter,))
 
 
+@lru_cache(maxsize=None)
+def _space(n):
+    """Size-n k-types: patterns, rank tuple -> index, compose[a][b] = tuple b
+    through mapping a, getters[a] = a truth row gathered through mapping a."""
+    pats = tuple(enumerate_patterns(n))
+    index = {p.ranks: k for k, p in enumerate(pats)}
+    compose = tuple(tuple(index[tuple(a.ranks[x] for x in b.ranks)] for b in pats)
+                    for a in pats)
+    return pats, index, compose, tuple(itemgetter(*row) for row in compose)
+
+
+@lru_cache(maxsize=None)
+def _generator_table(g, n):
+    """(images, mappings): one generator's indices per pattern of size n."""
+    pats, index, _, _ = _space(n)
+    moved = [apply(g, p) for p in pats]
+    return tuple(index[q.ranks] for q, _ in moved), tuple(index[m] for _, m in moved)
+
+
+def _scramble(letter, target, n):
+    """Mapping index of letter@target on each pattern of size n: i keeps
+    every point, j sends the point of rank v to where the target has v."""
+    pats, _, compose, _ = _space(n)
+    return (0,) * len(pats) if letter == "i" else compose[compose[target].index(0)]
+
+
 def _scramble_apply(letter, target, p):
     """Move keeping one order and freely rewriting the other to reach target."""
     if target.n != p.n:
         raise ValueError("scramble target size mismatch")
-    if letter == "i":
-        return target, tuple(range(p.n))
-    inv = [0] * target.n
-    for idx, v in enumerate(target.ranks):
-        inv[v] = idx
-    return target, tuple(inv[v] for v in p.ranks)
+    pats, index, _, _ = _space(p.n)
+    return target, pats[_scramble(letter, index[target.ranks], p.n)[index[p.ranks]]].ranks
 
 
 def letter_moves(letter, n):
@@ -96,30 +127,30 @@ def letter_moves(letter, n):
 
 
 @lru_cache(maxsize=None)
-def _images(letter, n):
-    """Each move of the letter at size n, applied once to every pattern.
-
-    A tuple of (move text, ((pattern, image, mapping), ...)), moves in
-    letter_moves order and patterns in lexicographic order.
-    """
-    pats = list(enumerate_patterns(n))
-    return tuple(
-        (move.text, tuple((p, *move.func(p)) for p in pats))
-        for move in letter_moves(letter, n))
+def _move_tables(letter, n):
+    """(text, (images, mappings)) for each letter_moves move: its image and
+    mapping index per pattern; a word's composes its generators'."""
+    pats, _, compose, _ = _space(n)
+    if letter in SCRAMBLE_LETTERS:
+        tables = [((q,) * len(pats), _scramble(letter, q, n)) for q in range(len(pats))]
+    else:
+        tables = []
+        for word in letter_words(letter, n):
+            images, maps = range(len(pats)), (0,) * len(pats)
+            for step_images, step_maps in (_generator_table(g, n) for g in word):
+                maps = tuple(compose[step_maps[q]][m] for q, m in zip(images, maps))
+                images = tuple(step_images[q] for q in images)
+            tables.append((images, maps))
+    return tuple(zip((move.text for move in letter_moves(letter, n)), tables))
 
 
 @lru_cache(maxsize=None)
 def _truth(relation):
-    """Pattern ranks -> {true tuple: its getter} at size = arity.
-
-    Tuples are in lexicographic order; a tuple's getter carries it
-    through a move's point mapping (arity >= 2, so it returns a tuple).
-    """
+    """Per pattern at size = arity, its truth row, and the rows as one int."""
     f = relations.evaluator(relation)
-    n = relations.arity(relation)
-    tuples = [(t, itemgetter(*t)) for t in permutations(range(n))]
-    return {p.ranks: {t: carry for t, carry in tuples if f(p.ranks, t)}
-            for p in enumerate_patterns(n)}
+    pats = _space(relations.arity(relation))[0]
+    rows = tuple(bytes(f(p.ranks, t.ranks) for t in pats) for p in pats)
+    return rows, int.from_bytes(b"".join(rows), "big")
 
 
 @lru_cache(maxsize=None)
@@ -132,14 +163,16 @@ def letter_witness(letter, relation):
     """
     if letter not in LETTERS:
         raise ValueError("unknown letter: %r" % (letter,))
-    truth = _truth(relation)
-    for text, images in _images(letter, relations.arity(relation)):
-        for p, image, mapping in images:
-            holds_after = truth[image.ranks]
-            for t, carry in truth[p.ranks].items():
-                it = carry(mapping)
-                if it not in holds_after:
-                    return Witness(relation, p, t, (text,), image, it)
+    rows, before = _truth(relation)
+    pats, _, compose, getters = _space(relations.arity(relation))
+    for text, (images, maps) in _move_tables(letter, relations.arity(relation)):
+        after = b"".join(bytes(getters[m](rows[q])) for q, m in zip(images, maps))
+        broken = before & ~int.from_bytes(after, "big")
+        if broken:
+            state = len(after) - 1 - (broken.bit_length() - 1) // 8
+            p, t = divmod(state, len(pats))
+            return Witness(relation, pats[p], pats[t].ranks, (text,),
+                           pats[images[p]], pats[compose[maps[p]][t]].ranks)
     return None
 
 

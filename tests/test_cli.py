@@ -249,6 +249,12 @@ def test_orbits_json(capsys):
     }
 
 
+def test_orbits_constant_out_of_range_is_one_based(capsys):
+    code, out, err = _run(capsys, "orbits", "--pattern", "123",
+                          "--constants", "4")
+    assert (code, out, err) == (2, "", "error: constant point 4 out of range 1..3\n")
+
+
 def _sample_file(tmp_path, payload):
     path = tmp_path / "sample.json"
     path.write_text(json.dumps(payload))

@@ -9,7 +9,8 @@ from permsym.generators import (
 )
 from permsym.lattice import LETTERS, closure, enumerate_lattice, minimal_label
 from permsym.letters import (
-    letter_words, letter_moves, letter_preserves, letter_matrix, _scramble_apply,
+    Witness, letter_words, letter_moves, letter_preserves,
+    letter_matrix, letter_witness, _scramble_apply,
 )
 from permsym.preservation import (
     CellDiff, PreservationRow, find_witness,
@@ -173,9 +174,15 @@ def test_rows_shrink_as_groups_grow():
 
 
 def _replay_move(text, p):
+    """A letter move by its text, rebuilt without the letter scan's tables:
+    a generator word, or a scramble toward the pattern after i@ or j@."""
     head, _, tail = text.partition("@")
-    if head in ("i", "j"):
-        return _scramble_apply(head, pattern_from_text(tail), p)
+    if head == "i":
+        return pattern_from_text(tail), tuple(range(p.n))
+    if head == "j":
+        target = pattern_from_text(tail)
+        inv = {v: idx for idx, v in enumerate(target.ranks)}
+        return target, tuple(inv[v] for v in p.ranks)
     res = apply_word(word_from_text(text), p)
     return res.pattern, res.mapping
 
@@ -287,3 +294,42 @@ def test_scramble_apply_shapes():
     assert tuple(target.ranks[m] for m in mapping) == p.ranks
     with pytest.raises(ValueError):
         _scramble_apply("i", pattern_from_text("12"), p)
+
+
+def _oracle_witness(letter, rel):
+    """The move-by-move scan: moves, then patterns, then tuples, in order."""
+    n = relations.arity(rel)
+    for move in letter_moves(letter, n):
+        for p in enumerate_patterns(n):
+            image, mapping = _replay_move(move.text, p)
+            for t in permutations(range(n)):
+                it = tuple(mapping[x] for x in t)
+                if relations.evaluate(rel, p, t) and not relations.evaluate(rel, image, it):
+                    return Witness(rel, p, t, (move.text,), image, it)
+    return None
+
+
+def test_letter_witness_matches_move_by_move_scan():
+    # every cell of the 10 x 20 matrix, witness fields compared one by one
+    for letter in LETTERS:
+        for rel in relations.RELATION_NAMES:
+            got, want = letter_witness(letter, rel), _oracle_witness(letter, rel)
+            assert (got is None) == (want is None), (letter, rel)
+            if want is not None:
+                for field in Witness._fields:
+                    assert getattr(got, field) == getattr(want, field), (
+                        letter, rel, field)
+
+
+def test_letter_witness_replays_through_its_move():
+    for letter in LETTERS:
+        for rel in relations.RELATION_NAMES:
+            w = letter_witness(letter, rel)
+            if w is None:
+                continue
+            funcs = {m.text: m.func for m in letter_moves(letter, w.pattern.n)}
+            image, mapping = funcs[w.moves[0]](w.pattern)
+            assert (image, tuple(mapping[x] for x in w.points)) == (
+                w.image_pattern, w.image_points), (letter, rel)
+            assert relations.evaluate(rel, w.pattern, w.points)
+            assert not relations.evaluate(rel, image, w.image_points)
