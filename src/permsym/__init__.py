@@ -16,14 +16,14 @@ _EXPORTS = {
     "patterns": (
         "Pattern", "T1", "T2", "T3", "T4", "PAIR_TYPES", "REVERSED_TYPE",
         "pattern_from_text", "pattern_to_text", "from_points", "pair_type",
-        "sub_pattern", "copies_of", "enumerate_patterns"),
+        "sub_pattern", "copies_of", "enumerate_patterns", "Behavior", "extend"),
     "relations": ("RELATION_NAMES", "arity", "evaluate"),
     "generators": (
         "GeneratorId", "REV1", "REV2", "REVREV", "SW", "turn_first", "turn_second",
         "apply", "inverse", "apply_word", "word_from_text", "word_to_text"),
     "behaviors": (
-        "Behavior", "BehaviorClass", "behavior_of_word", "extend", "compose",
-        "classify", "named_group_table", "subgroups", "element_order", "center"),
+        "BehaviorClass", "behavior_of_word", "compose", "classify",
+        "named_group_table", "subgroups", "element_order", "center"),
     "letters": ("Witness", "letter_witness", "letter_preserves"),
     "lattice": (
         "ClosedSet", "closure", "closure_trace", "enumerate_lattice", "by_label",

@@ -13,10 +13,9 @@ from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
 
-from .patterns import T1, T2, T3, T4, PAIR_TYPES, REVERSED_TYPE, pair_type, Pattern
+from .patterns import T1, T2, T3, T4, Behavior, extend, pair_type, Pattern
 from .generators import TURN_KINDS, apply_word
 
-Behavior = namedtuple("Behavior", ["image_t1", "image_t2"])
 BehaviorClass = namedtuple("BehaviorClass", ["kind", "name", "order", "sense"])
 
 IDENTITY = Behavior(T1, T2)
@@ -49,20 +48,8 @@ DIAGONAL_CLASSES = {
 
 
 def _check(b):
-    if b.image_t1 not in PAIR_TYPES or b.image_t2 not in PAIR_TYPES:
-        raise ValueError("bad behavior: %r" % (b,))
+    extend(b)  # raises on a bad behavior
     return b
-
-
-def extend(b):
-    """Full action on all four pair types implied by a behavior."""
-    _check(b)
-    return {
-        T1: b.image_t1,
-        T2: b.image_t2,
-        T3: REVERSED_TYPE[b.image_t1],
-        T4: REVERSED_TYPE[b.image_t2],
-    }
 
 
 def behavior_of_word(word):

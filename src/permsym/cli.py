@@ -11,7 +11,6 @@ asked for a witness, failed check), 2 usage error or bad input.
 
 import argparse
 import importlib
-import json
 import os
 import sys
 import types
@@ -33,6 +32,7 @@ class _LazyModule(types.ModuleType):
 behaviors, lattice, orbits, preservation, ramsey, relations = (
     _LazyModule("%s.%s" % (__package__, name)) for name in (
         "behaviors", "lattice", "orbits", "preservation", "ramsey", "relations"))
+json = _LazyModule("json")
 
 TYPE_NAMES = {T1: "t1", T2: "t2", T3: "t3", T4: "t4"}
 NAMES_TYPE = {v: k for k, v in TYPE_NAMES.items()}

@@ -27,8 +27,8 @@ first hit is the witness:
 
 The scan's states are k-types at k = arity: a size-k pattern with an
 ordering of all its points, numbered pattern * k! + tuple with both in
-lexicographic order (``_space``: (k!)^2 entries per size, so small sizes
-only; the scan needs k <= 4, and scramble moves use it at their size).
+lexicographic order (``_space``: (k!)^2 entries per size, so scan sizes
+only, k <= 4; a scramble move on one pattern is computed from its ranks).
 A move is one (image, mapping) index pair per pattern, and a word's
 pairs compose through the k! x k! table of point mappings.  A relation's
 truth is one byte per state, read as one big-endian int.  A move's truth
@@ -105,11 +105,16 @@ def _scramble(letter, target, n):
 
 
 def _scramble_apply(letter, target, p):
-    """Move keeping one order and freely rewriting the other to reach target."""
+    """Move keeping one order and freely rewriting the other to reach target:
+    `_scramble` on one pattern, from the ranks in O(n)."""
     if target.n != p.n:
         raise ValueError("scramble target size mismatch")
-    pats, index, _, _ = _space(p.n)
-    return target, pats[_scramble(letter, index[target.ranks], p.n)[index[p.ranks]]].ranks
+    if letter == "i":
+        return target, tuple(range(p.n))
+    position = [0] * p.n
+    for x, v in enumerate(target.ranks):
+        position[v] = x
+    return target, tuple(position[v] for v in p.ranks)
 
 
 def letter_moves(letter, n):

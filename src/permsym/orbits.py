@@ -6,23 +6,28 @@ and in row i when exactly i constants sit below it in the second order.
 A sampled map is canonical at the pair level when a single behavior
 explains all its sampled pairs cell by cell (and across cell pairs).
 
-Each cell, and each cell pair, is checked in one set pass.  A pair
-(x, y) with images (u, v) has the key (x < y, src[x] < src[y], u < v,
-img[u] < img[v]), where src and img are the second-order ranks of the
-source and image patterns: its first half names the pair's type in the
-source, its second half the type of its image.  The set of distinct
-keys, at most 16, decides which behaviors explain the pairs.  Only when
-some source type has two image types does an ordered scan follow, in
-`combinations` (or product) order, to find the first conflicting pairs
-and the first image of each source type; a canonical sample never
-needs it.
+A pair (x, y) with images (u, v) has the key (x < y, src[x] < src[y],
+u < v, img[u] < img[v]), where src and img are the second-order ranks
+of the source and image patterns: its first half names the pair's type
+in the source, its second half the type of its image.  The set of
+distinct keys, at most 16, decides which behaviors explain the pairs.
+It is read off per-point bitmasks, not pair by pair.  Each mapped point
+is a row (point, source rank, image point, image rank), and for each of
+the four coordinates every row gets the mask of the rows greater there.
+For each point x of a cell, its partners (the cell's later points, or
+the other cell's points for a cell pair) are split by x's four masks,
+and every non-empty part is one key: O(points x cells) integer ANDs.
+Only when some source type has two image types does an ordered scan
+follow, in `combinations` (or product) order, to find the first
+conflicting pairs and the first image of each source type; a canonical
+sample never needs it.
 """
 
+from bisect import bisect
 from collections import namedtuple
 from itertools import combinations, product
 
-from .patterns import T1, T2, T3, T4, PAIR_TYPES
-from .behaviors import Behavior, extend
+from .patterns import T1, T2, T3, T4, PAIR_TYPES, Behavior, extend
 
 ConstantSet = namedtuple("ConstantSet", ["pattern", "constants"])
 OrbitCell = namedtuple("OrbitCell", ["row", "col"])
@@ -39,6 +44,10 @@ _ACTIONS = tuple((b, extend(b)) for b in ALL_BEHAVIORS)
 # Type of an ordered pair (x, y) from (x < y in the first order,
 # x below y in the second order).
 _TYPE = {(True, True): T1, (True, False): T2, (False, False): T3, (False, True): T4}
+# (source type, image type) of each 4-bit key (x < y, src x < src y, u < v,
+# img u < img v), its first test the highest bit.
+_KEY_TYPES = tuple((_TYPE[bool(k & 8), bool(k & 4)], _TYPE[bool(k & 2), bool(k & 1)])
+                   for k in range(16))
 
 
 def constant_set(pattern, constants):
@@ -49,43 +58,89 @@ def constant_set(pattern, constants):
     return cs
 
 
+def _cell_finder(cs):
+    """Non-constant point -> its cell, by bisecting the constants' sorted
+    points and ranks (neither holds the point's own)."""
+    r = cs.pattern.ranks
+    cols, rows = sorted(cs.constants), sorted(r[c] for c in cs.constants)
+    return lambda point: OrbitCell(bisect(rows, r[point]), bisect(cols, point))
+
+
 def cell_of(cs, point):
     """Cell of a non-constant point: counts of constants below it per order."""
     if point in cs.constants:
         raise ValueError("point %d is a constant" % (point,))
     if not 0 <= point < cs.pattern.n:
         raise ValueError("point %r out of range" % (point,))
-    r = cs.pattern.ranks
-    col = sum(1 for c in cs.constants if c < point)
-    row = sum(1 for c in cs.constants if r[c] < r[point])
-    return OrbitCell(row, col)
+    return _cell_finder(cs)(point)
 
 
 def cells_of(cs):
     """Cell -> sorted list of its points, for all non-constant points."""
-    out = {}
+    cell, out = _cell_finder(cs), {}
     for p in range(cs.pattern.n):
-        if p in cs.constants:
-            continue
-        out.setdefault(cell_of(cs, p), []).append(p)
+        if p not in cs.constants:
+            out.setdefault(cell(p), []).append(p)
     return out
 
 
-def _observe(make_pairs, *args):
+def _above(rows):
+    """Per row, one mask per coordinate of the rows greater there.
+
+    Bit j of ``above[i][c]`` is set iff rows[j][c] > rows[i][c].  Each
+    coordinate is distinct across rows, so one descending sort and a
+    running OR give all of its masks.
+    """
+    masks = []
+    for c in range(4):
+        gt, acc = [0] * len(rows), 0
+        for i in sorted(range(len(rows)), key=lambda i: rows[i][c], reverse=True):
+            gt[i] = acc
+            acc |= 1 << i
+        masks.append(gt)
+    return tuple(zip(*masks))
+
+
+def _observe(rows, above, a, b=None):
     """First image type per source type over the pairs; first conflict found.
 
-    ``make_pairs(*args)`` yields the pairs in order, each point as its
-    row (point, source rank, image point, image rank).  It is called a
-    second time only when some source type has two image types.
+    The pairs are those of the rows in range ``a`` in `combinations`
+    order, or, given range ``b``, those of ``a`` x ``b`` in `product`
+    order; ``above`` is `_above` of all the rows.  Each row's partners
+    are split by its four masks into the keys, and the pairs are walked
+    in order only when some source type has two image types.
     """
-    seen = {(_TYPE[k[:2]], _TYPE[k[2:]]) for k in {
-        (x < y, sx < sy, u < v, iu < iv)
-        for (x, sx, u, iu), (y, sy, v, iv) in make_pairs(*args)}}
+    keys = set()
+    later = (1 << a.stop) - (1 << a.start)
+    partners = None if b is None else (1 << b.stop) - (1 << b.start)
+    for i in a:
+        later &= later - 1  # the rows of a after row i
+        m = later if partners is None else partners
+        g0, g1, g2, g3 = above[i]
+        h0 = m & g0
+        for k0, m0 in ((8, h0), (0, m ^ h0)):
+            if not m0:
+                continue
+            h1 = m0 & g1
+            for k1, m1 in ((k0 | 4, h1), (k0, m0 ^ h1)):
+                if not m1:
+                    continue
+                h2 = m1 & g2
+                for k2, m2 in ((k1 | 2, h2), (k1, m1 ^ h2)):
+                    if m2:
+                        h3 = m2 & g3
+                        if h3:
+                            keys.add(k2 | 1)
+                        if h3 != m2:
+                            keys.add(k2)
+    seen = {_KEY_TYPES[k] for k in keys}
     sources = {s for s, _ in seen}
     observed, counterexample = dict(seen), None
     if len(sources) < len(seen):
+        pairs = (combinations(rows[a.start:a.stop], 2) if b is None
+                 else product(rows[a.start:a.stop], rows[b.start:b.stop]))
         observed, first_pair = {}, {}
-        for (x, sx, u, iu), (y, sy, v, iv) in make_pairs(*args):
+        for (x, sx, u, iu), (y, sy, v, iv) in pairs:
             s, d = _TYPE[x < y, sx < sy], _TYPE[u < v, iu < iv]
             if s not in observed:
                 observed[s] = d
@@ -114,12 +169,15 @@ def check_canonical(cs, sample):
     for i in images:
         if not 0 <= i < len(img):
             raise ValueError("image point %r out of range for size %d" % (i, len(img)))
-    rows = {cell: [(p, src[p], m[p], img[m[p]]) for p in pts]
-            for cell, pts in grouped.items()}
-    cells = {cell: CellReport(pts, *_observe(combinations, rows[cell], 2))
+    rows = [(p, src[p], m[p], img[m[p]]) for pts in grouped.values() for p in pts]
+    above, spans, start = _above(rows), {}, 0
+    for cell, pts in grouped.items():
+        spans[cell] = range(start, start + len(pts))
+        start += len(pts)
+    cells = {cell: CellReport(pts, *_observe(rows, above, spans[cell]))
              for cell, pts in grouped.items()}
     cell_pairs = {(ca, cb): CellReport((grouped[ca], grouped[cb]),
-                                       *_observe(product, rows[ca], rows[cb]))
+                                       *_observe(rows, above, spans[ca], spans[cb]))
                   for ca, cb in combinations(grouped, 2)}
     canonical = (all(c.consistent for c in cells.values())
                  and all(c.consistent for c in cell_pairs.values()))

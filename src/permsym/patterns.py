@@ -7,7 +7,9 @@ first-order rank (0-based).  The text form is 1-based, e.g. "231" for
 ranks (1, 2, 0); sizes above 9 use commas ("2,10,1,...").
 """
 
+from collections import namedtuple
 from itertools import combinations, permutations
+from operator import itemgetter, lt
 
 # The four isomorphism types of an ordered pair (x, y) of distinct points.
 T1 = 1  # x below y in both orders
@@ -19,6 +21,22 @@ PAIR_TYPES = (T1, T2, T3, T4)
 
 # Swapping the two arguments of a pair swaps T1<->T3 and T2<->T4.
 REVERSED_TYPE = {T1: T3, T2: T4, T3: T1, T4: T2}
+
+# A pair-level behavior: where a map sends pairs of type T1 and of type
+# T2.  The images of T3 and T4 pairs follow by argument reversal.
+Behavior = namedtuple("Behavior", ["image_t1", "image_t2"])
+
+
+def extend(b):
+    """Full action on all four pair types implied by a behavior."""
+    if b.image_t1 not in PAIR_TYPES or b.image_t2 not in PAIR_TYPES:
+        raise ValueError("bad behavior: %r" % (b,))
+    return {
+        T1: b.image_t1,
+        T2: b.image_t2,
+        T3: REVERSED_TYPE[b.image_t1],
+        T4: REVERSED_TYPE[b.image_t2],
+    }
 
 
 class Pattern:
@@ -113,10 +131,19 @@ def sub_pattern(p, s):
 
 
 def copies_of(host, small):
-    """All index sets S (sorted tuples) with sub_pattern(host, S) == small."""
+    """All index sets S (sorted tuples) with sub_pattern(host, S) == small.
+
+    S is a copy iff the host ranks of its points, read in the order of
+    small's second-order ranks, increase.
+    """
+    k = small.n
+    if k < 2:
+        return list(combinations(range(host.n), k))
+    by_rank = itemgetter(*sorted(range(k), key=small.ranks.__getitem__))
     out = []
-    for s in combinations(range(host.n), small.n):
-        if sub_pattern(host, s) == small:
+    for s, ranks in zip(combinations(range(host.n), k), combinations(host.ranks, k)):
+        v = by_rank(ranks)
+        if all(map(lt, v, v[1:])):
             out.append(s)
     return out
 

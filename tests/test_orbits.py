@@ -9,7 +9,7 @@ from permsym.generators import REV1, REV2, REVREV, SW, apply_word
 from permsym.behaviors import Behavior, NAMED_BEHAVIORS, behavior_of_word, extend
 from permsym.orbits import (
     ALL_BEHAVIORS, CellReport, OrbitCell, Report, Sample,
-    constant_set, cell_of, cells_of, check_canonical, _observe,
+    constant_set, cell_of, cells_of, check_canonical, _above, _observe,
 )
 
 WORDS = [[]]
@@ -227,14 +227,14 @@ def _scan_report(cs, sample):
 
 @st.composite
 def _samples(draw):
-    """A pattern of 2-40 points, 0-3 constants and a partial injective map.
+    """A pattern of 2-60 points, 0-4 constants and a partial injective map.
 
     The map is random (mostly non-canonical), a symmetry word (canonical)
     or a symmetry word with the images of two points swapped.
     """
-    n = draw(st.integers(2, 40))
+    n = draw(st.integers(2, 60))
     source = Pattern(draw(st.permutations(range(n))))
-    constants = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+    constants = draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
     kind = draw(st.sampled_from(("random", "word", "planted")))
     if kind == "random":
         size = n + draw(st.integers(0, 3))
@@ -265,30 +265,46 @@ def _rows(sample, pts):
     return [(p, src[p], m[p], img[m[p]]) for p in pts]
 
 
+def _observe_between(sample, a, b):
+    """_observe on the pairs a x b, in product order."""
+    rows = _rows(sample, a + b)
+    return _observe(rows, _above(rows), range(len(a)), range(len(a), len(rows)))
+
+
+def _observe_within(sample, a):
+    """_observe on the pairs inside a, in combinations order."""
+    rows = _rows(sample, a)
+    return _observe(rows, _above(rows), range(len(a)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_samples(), st.randoms(use_true_random=False))
 def test_observe_matches_ordered_scan_on_any_point_sets(case, rng):
     # Two cells of check_canonical never hold a T3 pair in cell order
-    # (a lower row or column comes first), so the key-set pass is also
+    # (a lower row or column comes first), so the mask kernel is also
     # compared on two arbitrary disjoint point sets, where all four
-    # source types occur.
+    # source types occur, each listed in any order.
     _, sample = case
     pts = sorted(sample.mapping)
     rng.shuffle(pts)
-    a, b = sorted(pts[:len(pts) // 2]), sorted(pts[len(pts) // 2:])
-    assert _observe(product, _rows(sample, a), _rows(sample, b)) \
-        == _scan(sample, product(a, b))
-    assert _observe(combinations, _rows(sample, a), 2) \
-        == _scan(sample, combinations(a, 2))
+    a, b = pts[:len(pts) // 2], pts[len(pts) // 2:]
+    if rng.random() < 0.5:
+        a, b = sorted(a), sorted(b)
+    assert _observe_between(sample, a, b) == _scan(sample, product(a, b))
+    assert _observe_within(sample, a) == _scan(sample, combinations(a, 2))
 
 
 def test_observe_covers_all_four_source_types():
     # 21354 split as {p1, p5} x {p2, p3, p4} holds all four pair types,
     # and the image 12453 moves two T3 pairs differently, so the ordered
-    # scan runs as well.
+    # scan runs as well.  Inside {p1, p5, p2}, listed out of order, pairs
+    # of three source types occur and the image agrees on each.
     source, image = pattern_from_text("21354"), pattern_from_text("12453")
     sample = Sample(source, image, {p: p for p in range(5)})
     a, b = [0, 4], [1, 2, 3]
     want = _scan(sample, product(a, b))
     assert set(want[0]) == set(PAIR_TYPES) and want[3] == ((4, 1), (4, 2))
-    assert _observe(product, _rows(sample, a), _rows(sample, b)) == want
+    assert _observe_between(sample, a, b) == want
+    within = _scan(sample, combinations([0, 4, 1], 2))
+    assert len(within[0]) == 3 and within[2]
+    assert _observe_within(sample, [0, 4, 1]) == within

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -112,6 +114,22 @@ def test_copies_of():
     assert copies_of(host, up) == [(0, 1), (0, 2), (1, 2)]
     assert copies_of(pattern_from_text("321"), up) == []
     assert copies_of(host, host) == [(0, 1, 2)]
+
+
+def copies_by_definition(host, small):
+    """copies_of as its docstring defines it, one sub_pattern per subset."""
+    return [s for s in combinations(range(host.n), small.n)
+            if sub_pattern(host, s) == small]
+
+
+def test_copies_of_matches_sub_pattern_definition():
+    # small patterns of size 0-3, some larger than the host
+    smalls = [q for k in range(4) for q in enumerate_patterns(k)]
+    for n in range(7):
+        for host in enumerate_patterns(n):
+            for small in smalls:
+                assert copies_of(host, small) == copies_by_definition(host, small), \
+                    (host, small)
 
 
 def test_enumerate_patterns():

@@ -1,3 +1,4 @@
+import time
 from itertools import permutations
 
 import pytest
@@ -10,8 +11,9 @@ from permsym.generators import (
 from permsym.lattice import LETTERS, closure, enumerate_lattice, minimal_label
 from permsym.letters import (
     Witness, letter_words, letter_moves, letter_preserves,
-    letter_matrix, letter_witness, _scramble_apply,
+    letter_matrix, letter_witness, _scramble_apply, _scramble, _space,
 )
+from permsym import letters
 from permsym.preservation import (
     CellDiff, PreservationRow, find_witness,
     full_table, golden_table, load_golden, diff_golden,
@@ -294,6 +296,36 @@ def test_scramble_apply_shapes():
     assert tuple(target.ranks[m] for m in mapping) == p.ranks
     with pytest.raises(ValueError):
         _scramble_apply("i", pattern_from_text("12"), p)
+
+
+def test_scramble_apply_matches_k_type_formula():
+    # _scramble gives each move's mapping on the k-types of the scan
+    for n in range(5):
+        pats, index, _, _ = _space(n)
+        for letter in "ij":
+            for target in pats:
+                maps = _scramble(letter, index[target.ranks], n)
+                for p in pats:
+                    assert _scramble_apply(letter, target, p) \
+                        == (target, pats[maps[index[p.ranks]]].ranks)
+
+
+def test_scramble_move_at_size_8_needs_no_k_type_table(monkeypatch):
+    # (8!)^2 k-types would not fit in memory, so the move must not ask.
+    scan_space = letters._space
+
+    def small_space(n):
+        assert n <= 4, "k-type table built at size %d" % n
+        return scan_space(n)
+
+    monkeypatch.setattr(letters, "_space", small_space)
+    p, target = pattern_from_text("62738145"), pattern_from_text("31845726")
+    move = next(m for m in letter_moves("j", 8) if m.text == "j@31845726")
+    start = time.perf_counter()
+    image, mapping = move.func(p)
+    assert time.perf_counter() - start < 0.1
+    assert image == target
+    assert tuple(target.ranks[x] for x in mapping) == p.ranks
 
 
 def _oracle_witness(letter, rel):

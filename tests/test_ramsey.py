@@ -9,6 +9,7 @@ from permsym.ramsey import (
     INFEASIBLE, SearchResult,
     find_mono_copy, check_ramsey_witness, search_witness,
 )
+from test_patterns import copies_by_definition
 
 POINT = pattern_from_text("1")
 UP = pattern_from_text("12")
@@ -163,6 +164,15 @@ def test_check_ramsey_witness_edge_cases(delta, gamma, omega, expect):
     delta, gamma, omega = (pattern_from_text(t) for t in (delta, gamma, omega))
     assert check_ramsey_witness(delta, gamma, omega) is expect
     assert _brute_force_check(delta, gamma, omega) is expect
+
+
+@pytest.mark.parametrize("gamma,omega", [("12", "123"), ("1", "123"), ("21", "321")])
+def test_check_matches_copies_by_definition(monkeypatch, gamma, omega):
+    gamma, omega = pattern_from_text(gamma), pattern_from_text(omega)
+    hosts = _patterns(6)
+    want = [check_ramsey_witness(delta, gamma, omega) for delta in hosts]
+    monkeypatch.setattr(ramsey, "copies_of", copies_by_definition)
+    assert [check_ramsey_witness(delta, gamma, omega) for delta in hosts] == want
 
 
 def test_ramsey_number_r33():

@@ -44,18 +44,40 @@ def _python(code):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_ramsey_command_loads_no_lattice_modules():
-    loaded = _python(
-        "import io, json, sys, contextlib\n"
+def _modules_after(argv):
+    """Exit code and sys.modules after cli.run(argv) in a fresh interpreter.
+
+    The modules are recorded before the script imports json to print them.
+    """
+    return _python(
+        "import io, sys, contextlib\n"
         "from permsym import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.run(['ramsey', '--delta', '123456',"
-        " '--gamma', '12', '--omega', '123'])\n"
-        "print(json.dumps([code, sorted(sys.modules)]))")
-    code, modules = loaded
+        "    code = cli.run(%r)\n"
+        "modules = sorted(sys.modules)\n"
+        "import json\n"
+        "print(json.dumps([code, modules]))" % (argv,))
+
+
+def test_ramsey_command_loads_no_lattice_modules():
+    code, modules = _modules_after(
+        ['ramsey', '--delta', '123456', '--gamma', '12', '--omega', '123'])
     assert code == 0
     assert "permsym.ramsey" in modules
     for name in ("lattice", "letters", "preservation", "behaviors"):
+        assert "permsym." + name not in modules
+    assert "json" not in modules
+
+
+def test_check_canonical_loads_no_behavior_modules(tmp_path):
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps({
+        "source_pattern": "2413", "image_pattern": "3142",
+        "map": [[1, 1], [2, 2], [3, 3], [4, 4]], "constants": [2]}))
+    code, modules = _modules_after(["check-canonical", str(sample)])
+    assert code == 0
+    assert "permsym.orbits" in modules
+    for name in ("behaviors", "generators", "lattice", "letters", "preservation"):
         assert "permsym." + name not in modules
 
 
