@@ -28,12 +28,13 @@ first hit is the witness:
 The scan's states are k-types at k = arity: a size-k pattern with an
 ordering of all its points, numbered pattern * k! + tuple with both in
 lexicographic order (``_space``: (k!)^2 entries per size, so scan sizes
-only, k <= 4; a scramble move on one pattern is computed from its ranks).
-A move is one (image, mapping) index pair per pattern, and a word's
-pairs compose through the k! x k! table of point mappings.  A relation's
-truth is one byte per state, read as one big-endian int.  A move's truth
-after it gathers each image's bytes through the mapping; in ``before &
-~after`` the highest set bit is the first broken state: the witness.
+only, k <= 4).  A move is named by its text, a generator word or a
+scramble i@target / j@target, and tabulated as one (image, mapping)
+index pair per pattern; a word's pairs compose through the k! x k!
+table of point mappings.  A relation's truth is one byte per state,
+read as one big-endian int.  A move's truth after it gathers each
+image's bytes through the mapping; in ``before & ~after`` the highest
+set bit is the first broken state: the witness.
 """
 
 from collections import namedtuple
@@ -43,7 +44,7 @@ from operator import itemgetter
 from . import relations
 from .patterns import enumerate_patterns, pattern_to_text
 from .generators import (
-    REV1, REV2, REVREV, SW, turn_first, turn_second, apply, apply_word, word_to_text,
+    REV1, REV2, REVREV, SW, turn_first, turn_second, apply, word_to_text,
 )
 
 LETTERS = "abcdefghij"
@@ -53,7 +54,6 @@ SCRAMBLE_LETTERS = "ij"
 Witness = namedtuple(
     "Witness",
     ["relation", "pattern", "points", "moves", "image_pattern", "image_points"])
-Move = namedtuple("Move", ["text", "func"])
 
 
 def letter_words(letter, n):
@@ -104,31 +104,12 @@ def _scramble(letter, target, n):
     return (0,) * len(pats) if letter == "i" else compose[compose[target].index(0)]
 
 
-def _scramble_apply(letter, target, p):
-    """Move keeping one order and freely rewriting the other to reach target:
-    `_scramble` on one pattern, from the ranks in O(n)."""
-    if target.n != p.n:
-        raise ValueError("scramble target size mismatch")
-    if letter == "i":
-        return target, tuple(range(p.n))
-    position = [0] * p.n
-    for x, v in enumerate(target.ranks):
-        position[v] = x
-    return target, tuple(position[v] for v in p.ranks)
-
-
 def letter_moves(letter, n):
-    """All moves of one letter at size n, deterministic order."""
+    """The texts of one letter's moves at size n, deterministic order: a
+    generator word, or i@target / j@target for each size-n target."""
     if letter in SCRAMBLE_LETTERS:
-        return [
-            Move("%s@%s" % (letter, pattern_to_text(q)),
-                 lambda p, q=q, letter=letter: _scramble_apply(letter, q, p))
-            for q in enumerate_patterns(n)
-        ]
-    return [
-        Move(word_to_text(w), lambda p, w=w: apply_word(w, p))
-        for w in letter_words(letter, n)
-    ]
+        return ["%s@%s" % (letter, pattern_to_text(q)) for q in enumerate_patterns(n)]
+    return [word_to_text(w) for w in letter_words(letter, n)]
 
 
 @lru_cache(maxsize=None)
@@ -146,7 +127,7 @@ def _move_tables(letter, n):
                 maps = tuple(compose[step_maps[q]][m] for q, m in zip(images, maps))
                 images = tuple(step_images[q] for q in images)
             tables.append((images, maps))
-    return tuple(zip((move.text for move in letter_moves(letter, n)), tables))
+    return tuple(zip(letter_moves(letter, n), tables))
 
 
 @lru_cache(maxsize=None)

@@ -17,15 +17,16 @@ the four coordinates every row gets the mask of the rows greater there.
 For each point x of a cell, its partners (the cell's later points, or
 the other cell's points for a cell pair) are split by x's four masks,
 and every non-empty part is one key: O(points x cells) integer ANDs.
-Only when some source type has two image types does an ordered scan
-follow, in `combinations` (or product) order, to find the first
-conflicting pairs and the first image of each source type; a canonical
-sample never needs it.
+Each key keeps the first pair it is seen on, the point x with the
+lowest partner of its part; points are walked in order, so that is the
+first such pair in `combinations` (or product) order.  The keys sorted
+by first pair give the first image of each source type and the first
+conflicting pairs.
 """
 
 from bisect import bisect
 from collections import namedtuple
-from itertools import combinations, product
+from itertools import combinations
 
 from .patterns import T1, T2, T3, T4, PAIR_TYPES, Behavior, extend
 
@@ -104,13 +105,14 @@ def _above(rows):
 def _observe(rows, above, a, b=None):
     """First image type per source type over the pairs; first conflict found.
 
-    The pairs are those of the rows in range ``a`` in `combinations`
-    order, or, given range ``b``, those of ``a`` x ``b`` in `product`
-    order; ``above`` is `_above` of all the rows.  Each row's partners
-    are split by its four masks into the keys, and the pairs are walked
-    in order only when some source type has two image types.
+    The pairs join each row of range ``a`` to the later rows of ``a``,
+    or, given range ``b``, to every row of ``b``, ordered by row, then
+    partner; ``above`` is `_above` of all the rows.  Each row's partners
+    are split by its four masks into the keys, and a key first seen at
+    row i keeps i and its part, whose lowest bit is the partner of its
+    first pair.
     """
-    keys = set()
+    first = {}
     later = (1 << a.stop) - (1 << a.start)
     partners = None if b is None else (1 << b.stop) - (1 << b.start)
     for i in a:
@@ -129,27 +131,20 @@ def _observe(rows, above, a, b=None):
                 for k2, m2 in ((k1 | 2, h2), (k1, m1 ^ h2)):
                     if m2:
                         h3 = m2 & g3
-                        if h3:
-                            keys.add(k2 | 1)
-                        if h3 != m2:
-                            keys.add(k2)
-    seen = {_KEY_TYPES[k] for k in keys}
-    sources = {s for s, _ in seen}
-    observed, counterexample = dict(seen), None
-    if len(sources) < len(seen):
-        pairs = (combinations(rows[a.start:a.stop], 2) if b is None
-                 else product(rows[a.start:a.stop], rows[b.start:b.stop]))
-        observed, first_pair = {}, {}
-        for (x, sx, u, iu), (y, sy, v, iv) in pairs:
-            s, d = _TYPE[x < y, sx < sy], _TYPE[u < v, iu < iv]
-            if s not in observed:
-                observed[s] = d
-                first_pair[s] = (x, y)
-            elif observed[s] != d and counterexample is None:
-                counterexample = (first_pair[s], (x, y))
-            if counterexample and len(observed) == len(sources):
-                break
+                        if h3 and k2 | 1 not in first:
+                            first[k2 | 1] = (i, h3)
+                        if h3 != m2 and k2 not in first:
+                            first[k2] = (i, m2 ^ h3)
+    observed, first_pair, counterexample = {}, {}, None
+    for i, j, k in sorted((i, (m & -m).bit_length() - 1, k)
+                          for k, (i, m) in first.items()):
+        s, d = _KEY_TYPES[k]
+        if s not in observed:
+            observed[s], first_pair[s] = d, (rows[i][0], rows[j][0])
+        elif observed[s] != d and counterexample is None:
+            counterexample = (first_pair[s], (rows[i][0], rows[j][0]))
     # behaviors must explain every sampled pair, not just the first per type
+    seen = {_KEY_TYPES[k] for k in first}
     behaviors = tuple(b for b, act in _ACTIONS if all(act[s] == d for s, d in seen))
     consistent = counterexample is None and bool(behaviors)
     return observed, behaviors, consistent, counterexample

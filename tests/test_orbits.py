@@ -308,3 +308,35 @@ def test_observe_covers_all_four_source_types():
     within = _scan(sample, combinations([0, 4, 1], 2))
     assert len(within[0]) == 3 and within[2]
     assert _observe_within(sample, [0, 4, 1]) == within
+
+
+
+# Each key keeps its first pair: the first row that has it and the lowest
+# partner bit of its part.  Each case pins that order against a fault.
+@pytest.mark.parametrize("source,image,a,b,observed,counterexample", [
+    # (p1,p2) opens T2 -> T1 and T1 first shows at (p1,p5) as T1 -> T1;
+    # the first conflict, (p2,p3) moved to T2, is on T1, and a later one
+    # on T2 at (p2,p4) must not replace it.
+    pytest.param("42315", "15324", range(5), None, {T2: T1, T1: T1},
+                 ((0, 4), (1, 2)), id="conflict-on-type-first-seen-later"),
+    # p1's pairs are all T2: three move to T1, the last, (p1,p5), to T2.
+    # The key T2 -> T1 has partners p2..p4 in row p1, so its first pair
+    # is its lowest one.
+    pytest.param("51243", "25341", range(5), None, {T2: T1, T1: T2},
+                 ((0, 1), (0, 4)), id="conflict-in-first-pairs-row"),
+    # {p1,p2,p3} x {p4,p5}: (p1,p4) opens T1 -> T2, T2 first shows at
+    # (p1,p5) as T2 -> T2, and (p2,p4), moved to T1, is the first pair to
+    # conflict with it.
+    pytest.param("35142", "51234", range(3), range(3, 5), {T1: T2, T2: T2},
+                 ((0, 4), (1, 3)), id="cell-pair-first-pair-not-a0-b0"),
+])
+def test_observe_first_pairs(source, image, a, b, observed, counterexample):
+    sample = Sample(pattern_from_text(source), pattern_from_text(image),
+                    {p: p for p in range(len(source))})
+    if b is None:
+        got = _observe_within(sample, list(a))
+        assert got == _scan(sample, combinations(a, 2))
+    else:
+        got = _observe_between(sample, list(a), list(b))
+        assert got == _scan(sample, product(a, b))
+    assert got[0] == observed and got[3] == counterexample

@@ -1,19 +1,17 @@
-import time
 from itertools import permutations
 
 import pytest
 
 from permsym import relations
-from permsym.patterns import pattern_from_text, enumerate_patterns
+from permsym.patterns import pattern_from_text, pattern_to_text, enumerate_patterns
 from permsym.generators import (
     REV2, REVREV, SW, turn_first, turn_second, word_from_text, apply_word,
 )
 from permsym.lattice import LETTERS, closure, enumerate_lattice, minimal_label
 from permsym.letters import (
     Witness, letter_words, letter_moves, letter_preserves,
-    letter_matrix, letter_witness, _scramble_apply, _scramble, _space,
+    letter_matrix, letter_witness, _scramble, _space,
 )
-from permsym import letters
 from permsym.preservation import (
     CellDiff, PreservationRow, find_witness,
     full_table, golden_table, load_golden, diff_golden,
@@ -69,12 +67,26 @@ def test_generator_preserves_examples(g, rel, expect):
     assert letter_preserves(_letter_of(g), rel) is expect
 
 
+def _replay_move(text, p):
+    """A letter move by its text, rebuilt without the letter scan's tables:
+    a generator word, or a scramble toward the pattern after i@ or j@."""
+    head, _, tail = text.partition("@")
+    if head == "i":
+        return pattern_from_text(tail), tuple(range(p.n))
+    if head == "j":
+        target = pattern_from_text(tail)
+        inv = {v: idx for idx, v in enumerate(target.ranks)}
+        return target, tuple(inv[v] for v in p.ranks)
+    res = apply_word(word_from_text(text), p)
+    return res.pattern, res.mapping
+
+
 def _some_move_breaks(letter, rel, n):
     f = relations.evaluator(rel)
     tuples = list(permutations(range(n), relations.arity(rel)))
-    for move in letter_moves(letter, n):
+    for text in letter_moves(letter, n):
         for p in enumerate_patterns(n):
-            image, mapping = move.func(p)
+            image, mapping = _replay_move(text, p)
             for t in tuples:
                 if f(p.ranks, t) and not f(
                         image.ranks, tuple(mapping[x] for x in t)):
@@ -86,9 +98,9 @@ def _some_move_breaks_backward(letter, rel, n):
     # a move breaks rel backward when the image holds it and the source not
     f = relations.evaluator(rel)
     tuples = list(permutations(range(n), relations.arity(rel)))
-    for move in letter_moves(letter, n):
+    for text in letter_moves(letter, n):
         for p in enumerate_patterns(n):
-            image, mapping = move.func(p)
+            image, mapping = _replay_move(text, p)
             for t in tuples:
                 if not f(p.ranks, t) and f(
                         image.ranks, tuple(mapping[x] for x in t)):
@@ -128,14 +140,14 @@ def test_letter_moves_closed_under_inverses():
         for n in range(1, 5):
             moves = letter_moves(letter, n)
             for p in enumerate_patterns(n):
-                for move in moves:
-                    image, mapping = move.func(p)
+                for text in moves:
+                    image, mapping = _replay_move(text, p)
                     undone = []
                     for back in moves:
-                        q, step = back.func(image)
+                        q, step = _replay_move(back, image)
                         undone.append(q == p and all(
                             step[mapping[x]] == x for x in range(n)))
-                    assert any(undone), (letter, move.text, p)
+                    assert any(undone), (letter, text, p)
 
 
 @pytest.mark.parametrize("gens,label,marked", [
@@ -173,20 +185,6 @@ def test_rows_shrink_as_groups_grow():
             if members[small] <= members[big]:
                 for x, y in zip(bits[small], bits[big]):
                     assert x or not y, (small, big)
-
-
-def _replay_move(text, p):
-    """A letter move by its text, rebuilt without the letter scan's tables:
-    a generator word, or a scramble toward the pattern after i@ or j@."""
-    head, _, tail = text.partition("@")
-    if head == "i":
-        return pattern_from_text(tail), tuple(range(p.n))
-    if head == "j":
-        target = pattern_from_text(tail)
-        inv = {v: idx for idx, v in enumerate(target.ranks)}
-        return target, tuple(inv[v] for v in p.ranks)
-    res = apply_word(word_from_text(text), p)
-    return res.pattern, res.mapping
 
 
 def test_witnesses_replay():
@@ -284,60 +282,29 @@ def test_load_golden_rejects(tmp_path, body):
         load_golden(str(path))
 
 
-def test_scramble_apply_shapes():
-    p = pattern_from_text("231")
-    target = pattern_from_text("312")
-    image, mapping = _scramble_apply("i", target, p)
-    assert image == target and mapping == (0, 1, 2)
-    image, mapping = _scramble_apply("j", target, p)
-    assert image == target
-    # point with second-order rank v moves to the position holding v in
-    # the target, so ranks are preserved
-    assert tuple(target.ranks[m] for m in mapping) == p.ranks
-    with pytest.raises(ValueError):
-        _scramble_apply("i", pattern_from_text("12"), p)
-
-
-def test_scramble_apply_matches_k_type_formula():
-    # _scramble gives each move's mapping on the k-types of the scan
+def test_scramble_matches_replayed_move():
+    # _scramble gives each scramble move's mapping on the k-types of the scan
     for n in range(5):
         pats, index, _, _ = _space(n)
         for letter in "ij":
             for target in pats:
+                text = "%s@%s" % (letter, pattern_to_text(target))
                 maps = _scramble(letter, index[target.ranks], n)
                 for p in pats:
-                    assert _scramble_apply(letter, target, p) \
-                        == (target, pats[maps[index[p.ranks]]].ranks)
-
-
-def test_scramble_move_at_size_8_needs_no_k_type_table(monkeypatch):
-    # (8!)^2 k-types would not fit in memory, so the move must not ask.
-    scan_space = letters._space
-
-    def small_space(n):
-        assert n <= 4, "k-type table built at size %d" % n
-        return scan_space(n)
-
-    monkeypatch.setattr(letters, "_space", small_space)
-    p, target = pattern_from_text("62738145"), pattern_from_text("31845726")
-    move = next(m for m in letter_moves("j", 8) if m.text == "j@31845726")
-    start = time.perf_counter()
-    image, mapping = move.func(p)
-    assert time.perf_counter() - start < 0.1
-    assert image == target
-    assert tuple(target.ranks[x] for x in mapping) == p.ranks
+                    assert _replay_move(text, p) \
+                        == (target, pats[maps[index[p.ranks]]].ranks), (text, p)
 
 
 def _oracle_witness(letter, rel):
     """The move-by-move scan: moves, then patterns, then tuples, in order."""
     n = relations.arity(rel)
-    for move in letter_moves(letter, n):
+    for text in letter_moves(letter, n):
         for p in enumerate_patterns(n):
-            image, mapping = _replay_move(move.text, p)
+            image, mapping = _replay_move(text, p)
             for t in permutations(range(n)):
                 it = tuple(mapping[x] for x in t)
                 if relations.evaluate(rel, p, t) and not relations.evaluate(rel, image, it):
-                    return Witness(rel, p, t, (move.text,), image, it)
+                    return Witness(rel, p, t, (text,), image, it)
     return None
 
 
@@ -359,8 +326,8 @@ def test_letter_witness_replays_through_its_move():
             w = letter_witness(letter, rel)
             if w is None:
                 continue
-            funcs = {m.text: m.func for m in letter_moves(letter, w.pattern.n)}
-            image, mapping = funcs[w.moves[0]](w.pattern)
+            assert w.moves[0] in letter_moves(letter, w.pattern.n), (letter, rel)
+            image, mapping = _replay_move(w.moves[0], w.pattern)
             assert (image, tuple(mapping[x] for x in w.points)) == (
                 w.image_pattern, w.image_points), (letter, rel)
             assert relations.evaluate(rel, w.pattern, w.points)
