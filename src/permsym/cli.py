@@ -22,7 +22,10 @@ class _LazyModule(types.ModuleType):
     """A library module that is imported on its first attribute use.
 
     Until then it is absent from ``sys.modules``, so each command loads
-    only the modules it runs.
+    only the modules it runs.  perfbench/replay.py holds the module-level
+    names below in place: it swaps them by name for timing proxies and
+    runs ``cli.run`` in process, until the benchmark reads the program's
+    own counters instead (ROADMAP item 3).
     """
 
     def __getattr__(self, name):

@@ -13,7 +13,9 @@ from importlib import resources
 
 from . import relations
 from .lattice import enumerate_lattice
-# letter_preserves and letter_matrix are re-exported for existing callers.
+# letter_preserves and letter_matrix are re-exported because
+# perfbench/replay.py patches and times them here by name, until the
+# benchmark reads the program's own counters (ROADMAP item 3).
 from .letters import letter_witness, letter_preserves, letter_matrix  # noqa: F401
 
 PreservationRow = namedtuple("PreservationRow", ["label", "bits"])

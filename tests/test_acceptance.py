@@ -5,8 +5,9 @@ Criterion 5 checks that the computed table reproduces every published
 cell except one the published table refutes itself.  The published row
 de claims r1, but its subgroup row d does not, and a group cannot keep
 an invariant that one of its subgroups loses.  Such a cell passes only
-with that contradicting subgroup row and a witness that replays with
-plain moves and relation evaluation; its line prints both.
+with that contradicting subgroup row and a witness; its line prints
+both.  Every witness of the table, that one included, must replay in
+tests/witness_oracle.py with a move certainly in its group.
 """
 
 import time
@@ -21,9 +22,9 @@ from permsym.patterns import (
 from permsym.generators import (
     REV1, REV2, REVREV, SW,
     turn_first, turn_second, apply, apply_word, inverse, word_to_text,
-    word_from_text,
 )
 from lattice_expectations import PROPER_LABELS
+from witness_oracle import points_text, replay_fault
 
 
 def _report(num, ok, detail):
@@ -81,17 +82,6 @@ def test_criterion_04_joins_of_basic_letters():
             % len(hits))
 
 
-# The label letter each move kind realizes (see permsym.generators).  Kept
-# apart from preservation.KIND_LETTER so the replay does not trust the
-# module whose answers it checks.
-KIND_LETTER = {"rev2": "a", "t2": "b", "rev1": "c", "t1": "d",
-               "revrev": "e", "sw": "f"}
-
-
-def _points_text(points):
-    return ",".join("p%d" % (x + 1) for x in points)
-
-
 def _cell_text(d):
     return "%s/%s golden=%d computed=%s" % (
         d.label, d.relation, d.golden,
@@ -110,42 +100,14 @@ def _contradicting_rows(golden, label, relation):
             if set(other) < set(label) and not table[other][k]]
 
 
-def _replay_fault(label, relation, w):
-    """Why witness w does not refute (label, relation); None if it does.
-
-    Replays with generators and relations only, not preservation.
-    """
-    if w is None:
-        return "no witness"
-    try:
-        word = [g for move in w.moves for g in word_from_text(move)]
-    except ValueError as exc:
-        return "move does not parse: %s" % exc
-    if w.relation != relation:
-        return "witness is for %s" % w.relation
-    outside = [g.kind for g in word if KIND_LETTER.get(g.kind) not in set(label)]
-    if outside:
-        return "move kinds %s are not letters of %s" % (outside, label)
-    image = apply_word(word, w.pattern)
-    image_points = tuple(image.mapping[x] for x in w.points)
-    if (image.pattern, image_points) != (w.image_pattern, tuple(w.image_points)):
-        return "replay gives %s at %s" % (
-            pattern_to_text(image.pattern), _points_text(image_points))
-    if not relations.evaluate(relation, w.pattern, w.points):
-        return "%s fails on the source tuple" % relation
-    if relations.evaluate(relation, image.pattern, image_points):
-        return "%s holds on the image tuple" % relation
-    return None
-
-
-def _refutation_faults(diffs, witnesses, golden):
-    """Mismatches that are not published cells the published table refutes.
+def _table_faults(diffs, witnesses, golden):
+    """Mismatches that are not published cells the published table refutes,
+    and witnesses that do not replay; one line per fault.
 
     A mismatch passes only when it is golden=1, computed=0, some subgroup
-    row of the published table has 0 in its column, and its witness
-    replays.  Returns one line per failing mismatch.
+    row of the published table has 0 in its column, and it has a witness.
     """
-    faults = []
+    faults, cells = [], []
     for d in diffs:
         cell = "%s/%s" % (d.label, d.relation)
         if (d.golden, d.computed) != (True, False):
@@ -154,10 +116,11 @@ def _refutation_faults(diffs, witnesses, golden):
             continue
         if not _contradicting_rows(golden, d.label, d.relation):
             faults.append("%s has no published subgroup row with 0" % cell)
-        replay = _replay_fault(d.label, d.relation,
-                               witnesses.get((d.label, d.relation)))
+        cells.append((d.label, d.relation))
+    for label, rel in dict.fromkeys(cells + list(witnesses)):
+        replay = replay_fault(label, rel, witnesses.get((label, rel)))
         if replay:
-            faults.append("%s witness: %s" % (cell, replay))
+            faults.append("%s/%s witness: %s" % (label, rel, replay))
     return faults
 
 
@@ -169,23 +132,24 @@ def test_criterion_05_table_reproduction():
     elapsed = time.perf_counter() - start
     golden = preservation.golden_table()
     diffs = preservation.diff_golden(table.rows, golden)
-    faults = _refutation_faults(diffs, table.witnesses, golden)
+    faults = _table_faults(diffs, table.witnesses, golden)
     # A false cell without a witness would be an unconfirmed negative.
     unconfirmed = [
         (row.label, rel) for row in table.rows
         for rel, bit in zip(relations.RELATION_NAMES, row.bits)
         if not bit and table.witnesses.get((row.label, rel)) is None]
     ok = not faults and not unconfirmed and elapsed < 300.0
-    detail = "%d mismatches, %d unconfirmed, %.1fs (bound 300s)" % (
-        len(diffs), len(unconfirmed), elapsed)
+    detail = "%d mismatches, %d unconfirmed, %d witnesses replayed, " \
+        "%d faults, %.1fs (bound 300s)" % (
+            len(diffs), len(unconfirmed), len(table.witnesses), len(faults), elapsed)
     for d in diffs:
         w = table.witnesses.get((d.label, d.relation))
         detail += "; " + _cell_text(d)
         if w:
             detail += " witness[%s on %s at %s -> %s at %s]" % (
                 " ; ".join(w.moves), pattern_to_text(w.pattern),
-                _points_text(w.points), pattern_to_text(w.image_pattern),
-                _points_text(w.image_points))
+                points_text(w.points), pattern_to_text(w.image_pattern),
+                points_text(w.image_points))
         rows = _contradicting_rows(golden, d.label, d.relation)
         if rows:
             detail += " refuted by published %s (subgroup of %s)" % (
@@ -213,6 +177,8 @@ def _plant(fault):
     elif fault == "witness does not replay":
         w = witnesses[("de", "r1")]
         witnesses[("de", "r1")] = w._replace(image_points=w.image_points[::-1])
+    elif fault.startswith("move "):
+        witnesses[("de", "r1")] = witnesses[("de", "r1")]._replace(moves=(fault[5:],))
     elif fault == "no published contradiction":
         k = relations.RELATION_NAMES.index("r1")
         bits = list(published["d"])
@@ -233,9 +199,13 @@ def _plant(fault):
     ("no published contradiction", [
         "d/r1 has no published subgroup row with 0",
         "de/r1 has no published subgroup row with 0"]),
+    ("move i@132", [
+        "de/r1 witness: move i@132 of letter i is not certainly in de"]),
+    ("move j@12", [
+        "de/r1 witness: move does not parse: scramble target 12 has size 2, not 3"]),
 ])
 def test_criterion_05_rejects_planted_fault(fault, expected):
-    assert _refutation_faults(*_plant(fault)) == expected
+    assert _table_faults(*_plant(fault)) == expected
 
 
 def test_criterion_06_rows_distinguish_groups():

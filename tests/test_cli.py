@@ -11,7 +11,9 @@ import pytest
 import permsym
 from permsym import relations
 from permsym.cli import run
+from permsym.patterns import pattern_from_text, pattern_to_text
 from lattice_expectations import LABELS_BY_MASK
+from witness_oracle import replay_move
 
 
 def _run(capsys, *argv):
@@ -191,17 +193,18 @@ def test_witness_text(capsys):
 
 
 def test_witness_json_replays(capsys):
-    code, out, _ = _run(capsys, "witness", "f", "lt1", "--format", "json")
-    data = json.loads(out)
-    assert code == 0
-    assert data["label"] == "f" and data["relation"] == "lt1"
-    assert len(data["word"]) >= 1
-    from permsym.patterns import pattern_from_text
-    src = pattern_from_text(data["pattern"])
-    img = pattern_from_text(data["image_pattern"])
-    assert relations.evaluate("lt1", src, tuple(x - 1 for x in data["points"]))
-    assert not relations.evaluate(
-        "lt1", img, tuple(x - 1 for x in data["image_points"]))
+    for label, rel, move, image_points in [
+            ("f", "lt1", "sw", [2, 1]), ("i", "sep2", "i@1234", [1, 4, 2, 3])]:
+        code, out, _ = _run(capsys, "witness", label, rel, "--format", "json")
+        data = json.loads(out)
+        assert code == 0 and (data["label"], data["relation"]) == (label, rel)
+        assert (data["word"], data["image_points"]) == ([move], image_points)
+        src = pattern_from_text(data["pattern"])
+        image, mapping = replay_move(move, src)
+        assert pattern_to_text(image) == data["image_pattern"]
+        assert [mapping[x - 1] + 1 for x in data["points"]] == image_points
+        assert relations.evaluate(rel, src, tuple(x - 1 for x in data["points"]))
+        assert not relations.evaluate(rel, image, tuple(x - 1 for x in image_points))
 
 
 def test_witness_for_preserved_cell(capsys):

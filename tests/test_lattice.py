@@ -7,11 +7,11 @@ from permsym.lattice import (
     closure, closure_trace, minimal_label, enumerate_lattice, by_label,
     find, join, meet, hasse, export_dot,
 )
-from permsym.behaviors import generated_subgroup
 from permsym.letters import letter_preserves
 from permsym.preservation import full_table
 from permsym.relations import RELATION_NAMES
 from lattice_expectations import EXPECTED_MEMBERS, LABELS_BY_MASK, PROPER_LABELS
+from witness_oracle import letters_in_group
 
 
 def _subsets(letters):
@@ -61,41 +61,9 @@ def test_closure_keeps_every_shared_invariant():
             assert all(letter_preserves(x, rel) for rel in shared), (s, x)
 
 
-# Letters realized by a single pair behavior of permsym.behaviors.
-BEHAVIOR_LETTERS = {"a": "id/rev", "c": "rev/id", "e": "rev/rev",
-                    "f": "sw", "g": "sw.rev/rev", "h": "sw.id/rev"}
-
-
-def _sound_lower_bound(s):
-    """Letters certainly inside the group s generates, without the matrix.
-
-    A one-order scramble contains the moves fixing that order, an order
-    exchange conjugates one turn family into the other, the order-4
-    rotation squares to the double reversal, and behavior letters close
-    under the subgroup their behaviors generate.
-    """
-    members = set(s)
-    while True:
-        grown = set(members)
-        if "i" in members:
-            grown |= set("ab")
-        if "j" in members:
-            grown |= set("cd")
-        if members & set("fgh") and members & set("bd"):
-            grown |= set("bd")
-        if "h" in members:
-            grown.add("e")
-        subgroup = generated_subgroup(
-            {BEHAVIOR_LETTERS[x] for x in members if x in BEHAVIOR_LETTERS})
-        grown |= {x for x, name in BEHAVIOR_LETTERS.items() if name in subgroup}
-        if grown == members:
-            return frozenset(members)
-        members = grown
-
-
 def test_closure_contains_sound_lower_bound():
     for s in _subsets(LETTERS):
-        assert _sound_lower_bound(s) <= closure(s), s
+        assert letters_in_group("".join(s)) <= closure(s), s
 
 
 def test_closure_rejects_unknown_letters():

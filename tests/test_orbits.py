@@ -296,9 +296,9 @@ def test_observe_matches_ordered_scan_on_any_point_sets(case, rng):
 
 def test_observe_covers_all_four_source_types():
     # 21354 split as {p1, p5} x {p2, p3, p4} holds all four pair types,
-    # and the image 12453 moves two T3 pairs differently, so the ordered
-    # scan runs as well.  Inside {p1, p5, p2}, listed out of order, pairs
-    # of three source types occur and the image agrees on each.
+    # and the image 12453 moves two T3 pairs differently.  Inside
+    # {p1, p5, p2}, listed out of order, pairs of three source types occur
+    # and the image agrees on each.
     source, image = pattern_from_text("21354"), pattern_from_text("12453")
     sample = Sample(source, image, {p: p for p in range(5)})
     a, b = [0, 4], [1, 2, 3]

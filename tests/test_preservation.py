@@ -1,11 +1,9 @@
-from itertools import permutations
-
 import pytest
 
 from permsym import relations
-from permsym.patterns import pattern_from_text, pattern_to_text, enumerate_patterns
+from permsym.patterns import pattern_to_text, enumerate_patterns
 from permsym.generators import (
-    REV2, REVREV, SW, turn_first, turn_second, word_from_text, apply_word,
+    REV2, REVREV, SW, turn_first, turn_second, generator_to_text,
 )
 from permsym.lattice import LETTERS, closure, enumerate_lattice, minimal_label
 from permsym.letters import (
@@ -17,6 +15,7 @@ from permsym.preservation import (
     full_table, golden_table, load_golden, diff_golden,
 )
 from lattice_expectations import LABELS_BY_MASK, PROPER_LABELS
+from witness_oracle import move_letter, move_steps, replay_fault, replay_move
 
 # Golden rows for the three spot-checked groups, by relation name.
 ROW_E = {"btw1", "sep1", "btw2", "sep2", "st",
@@ -51,12 +50,6 @@ def test_letter_preserves_validation():
         letter_preserves("a", "nope")
 
 
-def _letter_of(g):
-    """The letter whose whole move family is the plain move g."""
-    [letter] = [x for x in "acef" if letter_words(x, 0) == [[g]]]
-    return letter
-
-
 @pytest.mark.parametrize("g,rel,expect", [
     (REVREV, "btw1", True),
     (REVREV, "lt1", False),
@@ -64,54 +57,19 @@ def _letter_of(g):
     (SW, "dow", False),
 ])
 def test_generator_preserves_examples(g, rel, expect):
-    assert letter_preserves(_letter_of(g), rel) is expect
+    assert letter_preserves(move_letter(generator_to_text(g)), rel) is expect
 
 
-def _replay_move(text, p):
-    """A letter move by its text, rebuilt without the letter scan's tables:
-    a generator word, or a scramble toward the pattern after i@ or j@."""
-    head, _, tail = text.partition("@")
-    if head == "i":
-        return pattern_from_text(tail), tuple(range(p.n))
-    if head == "j":
-        target = pattern_from_text(tail)
-        inv = {v: idx for idx, v in enumerate(target.ranks)}
-        return target, tuple(inv[v] for v in p.ranks)
-    res = apply_word(word_from_text(text), p)
-    return res.pattern, res.mapping
-
-
-def _some_move_breaks(letter, rel, n):
-    f = relations.evaluator(rel)
-    tuples = list(permutations(range(n), relations.arity(rel)))
-    for text in letter_moves(letter, n):
-        for p in enumerate_patterns(n):
-            image, mapping = _replay_move(text, p)
-            for t in tuples:
-                if f(p.ranks, t) and not f(
-                        image.ranks, tuple(mapping[x] for x in t)):
-                    return True
-    return False
-
-
-def _some_move_breaks_backward(letter, rel, n):
-    # a move breaks rel backward when the image holds it and the source not
-    f = relations.evaluator(rel)
-    tuples = list(permutations(range(n), relations.arity(rel)))
-    for text in letter_moves(letter, n):
-        for p in enumerate_patterns(n):
-            image, mapping = _replay_move(text, p)
-            for t in tuples:
-                if not f(p.ranks, t) and f(
-                        image.ranks, tuple(mapping[x] for x in t)):
-                    return True
-    return False
+def _steps(letter, rel, n, before, after):
+    """The scan's steps at size n that take rel's truth from before to after."""
+    return (s for s in move_steps(letter_moves(letter, n), rel, n)
+            if (s.before, s.after) == (before, after))
 
 
 def test_backward_direction_agrees_for_involutions():
     for letter in "acef":  # rev2, rev1, revrev, sw
         for rel in relations.RELATION_NAMES:
-            bwd = not _some_move_breaks_backward(letter, rel, 4)
+            bwd = not any(_steps(letter, rel, 4, False, True))
             assert letter_preserves(letter, rel) == bwd, (letter, rel)
 
 
@@ -119,7 +77,7 @@ def test_backward_direction_agrees_for_turn_family():
     # all cuts of t1 together form an inverse-closed family
     letter = "d"
     for rel in relations.RELATION_NAMES:
-        bwd = not _some_move_breaks_backward(letter, rel, 4)
+        bwd = not any(_steps(letter, rel, 4, False, True))
         assert letter_preserves(letter, rel) == bwd, rel
 
 
@@ -131,7 +89,7 @@ def test_letter_preserves_is_local():
             if letter in "ij":
                 n = min(n, 4)
             assert letter_preserves(letter, rel) == (
-                not _some_move_breaks(letter, rel, n)), (letter, rel)
+                not any(_steps(letter, rel, n, True, False))), (letter, rel)
 
 
 def test_letter_moves_closed_under_inverses():
@@ -141,10 +99,10 @@ def test_letter_moves_closed_under_inverses():
             moves = letter_moves(letter, n)
             for p in enumerate_patterns(n):
                 for text in moves:
-                    image, mapping = _replay_move(text, p)
+                    image, mapping = replay_move(text, p)
                     undone = []
                     for back in moves:
-                        q, step = _replay_move(back, image)
+                        q, step = replay_move(back, image)
                         undone.append(q == p and all(
                             step[mapping[x]] == x for x in range(n)))
                     assert any(undone), (letter, text, p)
@@ -156,7 +114,8 @@ def test_letter_moves_closed_under_inverses():
     ([REV2], "a", ROW_A),
 ])
 def test_group_row_spot_checks(gens, label, marked):
-    assert minimal_label(closure({_letter_of(g) for g in gens})) == label
+    assert minimal_label(
+        closure({move_letter(generator_to_text(g)) for g in gens})) == label
     table = full_table()
     [row] = [row for row in table.rows if row.label == label]
     assert _names(row.bits) == marked
@@ -187,23 +146,6 @@ def test_rows_shrink_as_groups_grow():
                     assert x or not y, (small, big)
 
 
-def test_witnesses_replay():
-    table = full_table()
-    assert table.witnesses
-    for (label, rel), w in table.witnesses.items():
-        assert w is not None, (label, rel)
-        assert w.relation == rel
-        assert len(w.moves) <= 3
-        assert relations.evaluate(rel, w.pattern, w.points)
-        current, mapping = w.pattern, tuple(range(w.pattern.n))
-        for text in w.moves:
-            current, step = _replay_move(text, current)
-            mapping = tuple(step[m] for m in mapping)
-        assert current == w.image_pattern
-        assert tuple(mapping[x] for x in w.points) == w.image_points
-        assert not relations.evaluate(rel, current, w.image_points)
-
-
 def test_witnesses_are_single_moves():
     # letter families are inverse-closed, so one move always suffices
     table = full_table()
@@ -220,10 +162,7 @@ def test_diff_golden_regression():
     # turning the first order, but t1@1 on pattern 132 breaks it.
     diffs = diff_golden(full_table().rows)
     assert diffs == [CellDiff("de", "r1", True, False)]
-    w = full_table().witnesses[("de", "r1")]
-    assert w is not None
-    assert relations.evaluate("r1", w.pattern, w.points)
-    assert not relations.evaluate("r1", w.image_pattern, w.image_points)
+    assert replay_fault("de", "r1", full_table().witnesses[("de", "r1")]) is None
 
 
 def test_diff_golden_empty_input():
@@ -291,44 +230,24 @@ def test_scramble_matches_replayed_move():
                 text = "%s@%s" % (letter, pattern_to_text(target))
                 maps = _scramble(letter, index[target.ranks], n)
                 for p in pats:
-                    assert _replay_move(text, p) \
+                    assert replay_move(text, p) \
                         == (target, pats[maps[index[p.ranks]]].ranks), (text, p)
 
 
-def _oracle_witness(letter, rel):
-    """The move-by-move scan: moves, then patterns, then tuples, in order."""
-    n = relations.arity(rel)
-    for text in letter_moves(letter, n):
-        for p in enumerate_patterns(n):
-            image, mapping = _replay_move(text, p)
-            for t in permutations(range(n)):
-                it = tuple(mapping[x] for x in t)
-                if relations.evaluate(rel, p, t) and not relations.evaluate(rel, image, it):
-                    return Witness(rel, p, t, (text,), image, it)
-    return None
-
-
 def test_letter_witness_matches_move_by_move_scan():
-    # every cell of the 10 x 20 matrix, witness fields compared one by one
+    # every cell of the 10 x 20 matrix, against the first breaking step
     for letter in LETTERS:
         for rel in relations.RELATION_NAMES:
-            got, want = letter_witness(letter, rel), _oracle_witness(letter, rel)
-            assert (got is None) == (want is None), (letter, rel)
-            if want is not None:
-                for field in Witness._fields:
-                    assert getattr(got, field) == getattr(want, field), (
-                        letter, rel, field)
+            want = next((Witness(rel, s.pattern, s.points, (s.move,), s.image,
+                                 s.image_points) for s in _steps(
+                letter, rel, relations.arity(rel), True, False)), None)
+            assert letter_witness(letter, rel) == want, (letter, rel)
 
 
 def test_letter_witness_replays_through_its_move():
     for letter in LETTERS:
         for rel in relations.RELATION_NAMES:
             w = letter_witness(letter, rel)
-            if w is None:
-                continue
-            assert w.moves[0] in letter_moves(letter, w.pattern.n), (letter, rel)
-            image, mapping = _replay_move(w.moves[0], w.pattern)
-            assert (image, tuple(mapping[x] for x in w.points)) == (
-                w.image_pattern, w.image_points), (letter, rel)
-            assert relations.evaluate(rel, w.pattern, w.points)
-            assert not relations.evaluate(rel, image, w.image_points)
+            if w is not None:
+                assert w.moves[0] in letter_moves(letter, w.pattern.n), (letter, rel)
+                assert replay_fault(letter, rel, w) is None, (letter, rel)
