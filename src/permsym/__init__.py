@@ -23,7 +23,7 @@ _EXPORTS = {
         "apply", "inverse", "apply_word", "word_from_text", "word_to_text"),
     "behaviors": (
         "BehaviorClass", "behavior_of_word", "compose", "classify",
-        "named_group_table", "subgroups", "element_order", "center"),
+        "named_group_table", "subgroups"),
     "letters": ("Witness", "letter_witness", "letter_preserves"),
     "lattice": (
         "ClosedSet", "closure", "closure_trace", "enumerate_lattice", "by_label",
@@ -32,7 +32,7 @@ _EXPORTS = {
         "PreservationRow", "full_table", "golden_table", "load_golden",
         "diff_golden", "find_witness"),
     "orbits": (
-        "ConstantSet", "OrbitCell", "Sample", "constant_set", "cell_of", "cells_of",
+        "ConstantSet", "OrbitCell", "Sample", "constant_set", "cells_of",
         "check_canonical"),
     "ramsey": ("INFEASIBLE", "find_mono_copy", "check_ramsey_witness", "search_witness"),
 }

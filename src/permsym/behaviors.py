@@ -116,33 +116,11 @@ def generated_subgroup(names):
 
 
 def subgroups():
-    """All subgroups of the named-behavior group, sorted by size then members."""
-    table = named_group_table()
-    found = []
-    names = list(NAMED_ORDER)
-    for k in range(len(names) + 1):
-        for combo in combinations(names, k):
-            s = set(combo)
-            if "id" not in s:
-                continue
-            if all(table[(x, y)] in s for x in s for y in s):
-                found.append(frozenset(s))
-    return sorted(set(found), key=lambda s: (len(s), sorted(s)))
+    """All subgroups of the named-behavior group, sorted by size then members.
 
-
-def element_order(name):
-    """Order of a named behavior in the group."""
-    table = named_group_table()
-    power, k = name, 1
-    while power != "id":
-        power = table[(power, name)]
-        k += 1
-    return k
-
-
-def center():
-    """Named behaviors commuting with all others."""
-    table = named_group_table()
-    return frozenset(
-        x for x in NAMED_ORDER
-        if all(table[(x, y)] == table[(y, x)] for y in NAMED_ORDER))
+    Each subgroup is generated by its own members, so the subgroups are
+    exactly the closures of the subsets of the group.
+    """
+    return sorted({generated_subgroup(combo) for k in range(len(NAMED_ORDER) + 1)
+                   for combo in combinations(NAMED_ORDER, k)},
+                  key=lambda s: (len(s), sorted(s)))

@@ -28,7 +28,7 @@ from bisect import bisect
 from collections import namedtuple
 from itertools import combinations
 
-from .patterns import T1, T2, T3, T4, PAIR_TYPES, Behavior, extend
+from .patterns import PAIR_TYPES, TYPE_BY_ORDERS, Behavior, extend
 
 ConstantSet = namedtuple("ConstantSet", ["pattern", "constants"])
 OrbitCell = namedtuple("OrbitCell", ["row", "col"])
@@ -42,13 +42,10 @@ ALL_BEHAVIORS = tuple(
     Behavior(x, y) for x in PAIR_TYPES for y in PAIR_TYPES)
 _ACTIONS = tuple((b, extend(b)) for b in ALL_BEHAVIORS)
 
-# Type of an ordered pair (x, y) from (x < y in the first order,
-# x below y in the second order).
-_TYPE = {(True, True): T1, (True, False): T2, (False, False): T3, (False, True): T4}
 # (source type, image type) of each 4-bit key (x < y, src x < src y, u < v,
 # img u < img v), its first test the highest bit.
-_KEY_TYPES = tuple((_TYPE[bool(k & 8), bool(k & 4)], _TYPE[bool(k & 2), bool(k & 1)])
-                   for k in range(16))
+_KEY_TYPES = tuple((TYPE_BY_ORDERS[bool(k & 8), bool(k & 4)],
+                    TYPE_BY_ORDERS[bool(k & 2), bool(k & 1)]) for k in range(16))
 
 
 def constant_set(pattern, constants):
@@ -59,29 +56,17 @@ def constant_set(pattern, constants):
     return cs
 
 
-def _cell_finder(cs):
-    """Non-constant point -> its cell, by bisecting the constants' sorted
-    points and ranks (neither holds the point's own)."""
-    r = cs.pattern.ranks
-    cols, rows = sorted(cs.constants), sorted(r[c] for c in cs.constants)
-    return lambda point: OrbitCell(bisect(rows, r[point]), bisect(cols, point))
-
-
-def cell_of(cs, point):
-    """Cell of a non-constant point: counts of constants below it per order."""
-    if point in cs.constants:
-        raise ValueError("point %d is a constant" % (point,))
-    if not 0 <= point < cs.pattern.n:
-        raise ValueError("point %r out of range" % (point,))
-    return _cell_finder(cs)(point)
-
-
 def cells_of(cs):
-    """Cell -> sorted list of its points, for all non-constant points."""
-    cell, out = _cell_finder(cs), {}
+    """Cell -> sorted list of its points, for all non-constant points.
+
+    A point's cell counts the constants below it in each order, found by
+    bisecting the constants' sorted points and ranks.
+    """
+    r, out = cs.pattern.ranks, {}
+    cols, rows = sorted(cs.constants), sorted(r[c] for c in cs.constants)
     for p in range(cs.pattern.n):
         if p not in cs.constants:
-            out.setdefault(cell(p), []).append(p)
+            out.setdefault(OrbitCell(bisect(rows, r[p]), bisect(cols, p)), []).append(p)
     return out
 
 

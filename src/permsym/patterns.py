@@ -19,6 +19,11 @@ T4 = 4  # reversal of T2
 
 PAIR_TYPES = (T1, T2, T3, T4)
 
+# Type of an ordered pair (x, y) from (x before y in the first order,
+# x below y in the second order).
+TYPE_BY_ORDERS = {(True, True): T1, (True, False): T2,
+                  (False, False): T3, (False, True): T4}
+
 # Swapping the two arguments of a pair swaps T1<->T3 and T2<->T4.
 REVERSED_TYPE = {T1: T3, T2: T4, T3: T1, T4: T2}
 
@@ -115,9 +120,7 @@ def pair_type(p, i, j):
         raise ValueError("pair_type needs two distinct points")
     _check_index(p, i)
     _check_index(p, j)
-    if i < j:
-        return T1 if p.ranks[i] < p.ranks[j] else T2
-    return T3 if p.ranks[j] < p.ranks[i] else T4
+    return TYPE_BY_ORDERS[i < j, p.ranks[i] < p.ranks[j]]
 
 
 def sub_pattern(p, s):

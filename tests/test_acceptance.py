@@ -32,23 +32,27 @@ def _report(num, ok, detail):
     assert ok, "criterion %d: %s" % (num, detail)
 
 
-def _fresh_lattice_timing():
-    # The lattice is derived from the letter scan, so clear its caches too:
-    # every cached function of both modules (state space, generator and
-    # move tables, truth rows, witnesses, masks, labels), so none is warm.
-    caches = [f for module in (letters, lattice) for f in vars(module).values()
-              if hasattr(f, "cache_clear")]
+def _cold_timing(build):
+    """build() and its time, with nothing of the table warm.
+
+    The lattice and the table derive from the letter scan, so every
+    cached function of letters, lattice and preservation (state space,
+    generator and move tables, truth rows, witnesses, masks, labels,
+    golden table) is cleared first.
+    """
+    caches = [f for module in (letters, lattice, preservation)
+              for f in vars(module).values() if hasattr(f, "cache_clear")]
     assert {letters._space, letters._generator_table, letters._truth,
-            lattice._all_closed} <= set(caches)
+            lattice._all_closed, preservation.golden_table} <= set(caches)
     for f in caches:
         f.cache_clear()
     start = time.perf_counter()
-    elements = lattice.enumerate_lattice()
-    return elements, time.perf_counter() - start
+    result = build()
+    return result, time.perf_counter() - start
 
 
 def test_criterion_01_lattice_count():
-    elements, elapsed = _fresh_lattice_timing()
+    elements, elapsed = _cold_timing(lattice.enumerate_lattice)
     ok = len(elements) == 39 and elapsed < 1.0
     _report(1, ok, "%d closed sets in %.3fs (bound 1s)" % (len(elements), elapsed))
 
@@ -125,11 +129,7 @@ def _table_faults(diffs, witnesses, golden):
 
 
 def test_criterion_05_table_reproduction():
-    preservation.letter_witness.cache_clear()
-    preservation.golden_table.cache_clear()
-    start = time.perf_counter()
-    table = preservation.full_table()
-    elapsed = time.perf_counter() - start
+    table, elapsed = _cold_timing(preservation.full_table)
     golden = preservation.golden_table()
     diffs = preservation.diff_golden(table.rows, golden)
     faults = _table_faults(diffs, table.witnesses, golden)
@@ -140,7 +140,7 @@ def test_criterion_05_table_reproduction():
         if not bit and table.witnesses.get((row.label, rel)) is None]
     ok = not faults and not unconfirmed and elapsed < 300.0
     detail = "%d mismatches, %d unconfirmed, %d witnesses replayed, " \
-        "%d faults, %.1fs (bound 300s)" % (
+        "%d faults, %.3fs (bound 300s)" % (
             len(diffs), len(unconfirmed), len(table.witnesses), len(faults), elapsed)
     for d in diffs:
         w = table.witnesses.get((d.label, d.relation))

@@ -365,6 +365,18 @@ def test_ramsey_search_command(capsys):
     assert (code, out, err) == (0, "123456\n", "")
 
 
+def test_ramsey_search_warns_of_hosts_over_budget(capsys, monkeypatch):
+    # With a budget of 2 copies, host 123 (three copies of 12) is skipped,
+    # not decided, and no other host of size 3 verifies.
+    monkeypatch.setattr("permsym.ramsey.MAX_COPIES", 2)
+    argv = ("ramsey-search", "--gamma", "12", "--omega", "123", "--max-n", "3")
+    warning = "warning: host 123 over budget, skipped\n"
+    assert _run(capsys, *argv) == (1, "none\n", warning)
+    code, out, err = _run(capsys, *argv, "--format", "json")
+    assert (code, err) == (1, warning)
+    assert json.loads(out) == {"pattern": None, "infeasible": ["123"]}
+
+
 def test_ramsey_search_rejects_negative_max_n(capsys):
     code, out, err = _run(capsys, "ramsey-search", "--gamma", "1",
                           "--omega", "12", "--max-n", "-1")

@@ -31,10 +31,20 @@ def test_parse_rejects(bad):
         pattern_from_text(bad)
 
 
-@given(perms)
+@given(st.integers(0, 12).flatmap(lambda n: st.permutations(list(range(n)))))
 def test_text_round_trip(ranks):
     p = Pattern(ranks)
-    assert pattern_from_text(pattern_to_text(p)) == p
+    text = pattern_to_text(p)
+    assert ("," in text) == (p.n > 9)
+    assert pattern_from_text(text) == p
+
+
+@given(perms, perms)
+def test_hash_agrees_with_eq(a, b):
+    p, q, p_again = Pattern(a), Pattern(b), Pattern(list(a))
+    assert (p == q) == (tuple(a) == tuple(b))
+    assert p == p_again and hash(p) == hash(p_again)
+    assert len({p, q, p_again}) == len({tuple(a), tuple(b)})
 
 
 def test_pattern_validates():

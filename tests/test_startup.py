@@ -22,13 +22,13 @@ REEXPORTS = """
     GeneratorId REV1 REV2 REVREV SW turn_first turn_second apply inverse
     apply_word word_from_text word_to_text
     Behavior BehaviorClass behavior_of_word extend compose classify
-    named_group_table subgroups element_order center
+    named_group_table subgroups
     Witness letter_witness letter_preserves
     ClosedSet closure closure_trace enumerate_lattice by_label join meet
     minimal_label hasse export_dot
     PreservationRow full_table golden_table load_golden diff_golden
     find_witness
-    ConstantSet OrbitCell Sample constant_set cell_of cells_of check_canonical
+    ConstantSet OrbitCell Sample constant_set cells_of check_canonical
     INFEASIBLE find_mono_copy check_ramsey_witness search_witness
 """.split()
 SUBMODULES = ("patterns", "relations", "generators", "behaviors", "letters",
