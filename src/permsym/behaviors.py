@@ -47,11 +47,6 @@ DIAGONAL_CLASSES = {
 }
 
 
-def _check(b):
-    extend(b)  # raises on a bad behavior
-    return b
-
-
 def behavior_of_word(word):
     """Behavior of a turn-free word, read off the two 2-point patterns."""
     for g in word:
@@ -68,7 +63,8 @@ def behavior_of_word(word):
 def compose(b1, b2):
     """Behavior of "b2 after b1"; both must be named (invertible)."""
     for b in (b1, b2):
-        if _check(b) not in BEHAVIOR_NAMES:
+        extend(b)  # raises on a bad behavior
+        if b not in BEHAVIOR_NAMES:
             raise ValueError("cannot compose through a collapsing behavior: %r" % (b,))
     act2 = extend(b2)
     return Behavior(act2[b1.image_t1], act2[b1.image_t2])
@@ -76,17 +72,11 @@ def compose(b1, b2):
 
 def classify(b):
     """Sort a behavior into its named or diagonal-collapse class."""
-    _check(b)
+    extend(b)  # raises on a bad behavior
     if b in BEHAVIOR_NAMES:
         return BehaviorClass("named", BEHAVIOR_NAMES[b], None, None)
     order, sense = DIAGONAL_CLASSES[b]
     return BehaviorClass("diagonal", None, order, sense)
-
-
-def describe(bc):
-    if bc.kind == "named":
-        return "named: %s" % bc.name
-    return "diagonal: order %d, %s" % (bc.order, bc.sense)
 
 
 @lru_cache(maxsize=1)

@@ -247,11 +247,11 @@ def _cmd_closure(args):
 
 def _cmd_classify(args):
     bc = behaviors.classify(args.behavior)
+    detail = bc.name if bc.kind == "named" else "order %d, %s" % (bc.order, bc.sense)
     if args.format == "json":
-        detail = bc.name if bc.kind == "named" else "order %d, %s" % (bc.order, bc.sense)
         print(json.dumps({"class": bc.kind, "detail": detail}, indent=2))
-        return 0
-    print(behaviors.describe(bc))
+    else:
+        print("%s: %s" % (bc.kind, detail))
     return 0
 
 

@@ -7,9 +7,9 @@ one-move witness.  Computed rows are diffed against the published table.
 """
 
 import csv
+import os
 from collections import namedtuple
 from functools import lru_cache
-from importlib import resources
 
 from . import relations
 from .lattice import enumerate_lattice
@@ -53,11 +53,17 @@ def full_table():
 @lru_cache(maxsize=1)
 def golden_table():
     """The published 37-row table: (ordered labels, label -> bit tuple)."""
-    text = resources.files("permsym.data").joinpath("golden_table.csv").read_text()
-    return _parse_golden(text)
+    here = os.path.dirname(__file__)
+    return load_golden(os.path.join(here, "data", "golden_table.csv"))
 
 
-def _parse_golden(text):
+def load_golden(path):
+    """Golden rows from a CSV file: (ordered labels, label -> bit tuple)."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError("cannot read golden table: %s" % exc) from None
     reader = csv.reader(text.strip().splitlines())
     header = next(reader, [])
     if tuple(header) != ("label",) + relations.RELATION_NAMES:
@@ -75,16 +81,6 @@ def _parse_golden(text):
         order.append(label)
         table[label] = tuple(b == "1" for b in bits)
     return tuple(order), table
-
-
-def load_golden(path):
-    """Golden rows from an alternative CSV file (same shape as the resource)."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValueError("cannot read golden table: %s" % exc) from None
-    return _parse_golden(text)
 
 
 def diff_golden(computed, golden=None):

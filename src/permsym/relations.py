@@ -9,28 +9,6 @@ on (ranks, tuple) for callers that loop over millions of cells and do their
 own validation up front.
 """
 
-# Tags in table column order.
-RELATION_NAMES = (
-    "lt1", "btw1", "cyc1", "sep1",
-    "lt2", "btw2", "cyc2", "sep2",
-    "st", "up", "dow",
-    "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9",
-)
-
-ARITY = {
-    "lt1": 2, "btw1": 3, "cyc1": 3, "sep1": 4,
-    "lt2": 2, "btw2": 3, "cyc2": 3, "sep2": 4,
-    "st": 2, "up": 2, "dow": 2,
-    "r1": 3, "r2": 3, "r3": 3, "r4": 4,
-    "r5": 3, "r6": 3, "r7": 3, "r8": 3, "r9": 4,
-}
-
-
-def arity(name):
-    if name not in ARITY:
-        raise ValueError("unknown relation: %r" % (name,))
-    return ARITY[name]
-
 
 def _btw(a, b, c):
     return a < b < c or c < b < a
@@ -163,27 +141,38 @@ def _r9(r, t):
     return (first, second) in _R9_STEPS
 
 
-_EVALUATORS = {
-    "lt1": _lt1, "btw1": _btw1, "cyc1": _cyc1, "sep1": _sep1,
-    "lt2": _lt2, "btw2": _btw2, "cyc2": _cyc2, "sep2": _sep2,
-    "st": _st, "up": _up_rel, "dow": _dow_rel,
-    "r1": _r1, "r2": _r2, "r3": _r3, "r4": _r4,
-    "r5": _r5, "r6": _r6, "r7": _r7, "r8": _r8, "r9": _r9,
+# name -> (arity, raw evaluator), in table column order.
+_RELATIONS = {
+    "lt1": (2, _lt1), "btw1": (3, _btw1), "cyc1": (3, _cyc1), "sep1": (4, _sep1),
+    "lt2": (2, _lt2), "btw2": (3, _btw2), "cyc2": (3, _cyc2), "sep2": (4, _sep2),
+    "st": (2, _st), "up": (2, _up_rel), "dow": (2, _dow_rel),
+    "r1": (3, _r1), "r2": (3, _r2), "r3": (3, _r3), "r4": (4, _r4),
+    "r5": (3, _r5), "r6": (3, _r6), "r7": (3, _r7), "r8": (3, _r8), "r9": (4, _r9),
 }
+RELATION_NAMES = tuple(_RELATIONS)
+ARITY = {name: k for name, (k, _) in _RELATIONS.items()}
+
+
+def _relation(name):
+    if name not in _RELATIONS:
+        raise ValueError("unknown relation: %r" % (name,))
+    return _RELATIONS[name]
+
+
+def arity(name):
+    return _relation(name)[0]
 
 
 def evaluator(name):
     """Raw evaluator on (ranks, tuple); no argument validation."""
-    if name not in _EVALUATORS:
-        raise ValueError("unknown relation: %r" % (name,))
-    return _EVALUATORS[name]
+    return _relation(name)[1]
 
 
 def evaluate(name, p, t):
     """Truth value of relation `name` on tuple t of point indices in p."""
-    f = evaluator(name)
-    if len(t) != ARITY[name]:
-        raise ValueError("%s takes %d points, got %d" % (name, ARITY[name], len(t)))
+    k, f = _relation(name)
+    if len(t) != k:
+        raise ValueError("%s takes %d points, got %d" % (name, k, len(t)))
     if len(set(t)) != len(t):
         raise ValueError("tuple entries must be distinct: %r" % (t,))
     for i in t:

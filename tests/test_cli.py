@@ -87,6 +87,8 @@ def test_classify_text(capsys):
     assert code == 0 and out == "named: id\n"
     code, out, _ = _run(capsys, "classify", "--behavior", "t1,t1")
     assert code == 0 and out == "diagonal: order 1, preserve\n"
+    code, out, _ = _run(capsys, "classify", "--behavior", "t4,t4")
+    assert code == 0 and out == "diagonal: order 1, reverse\n"
 
 
 def test_classify_json(capsys):

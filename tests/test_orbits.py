@@ -5,7 +5,8 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from permsym.patterns import (
     Pattern, pattern_from_text, enumerate_patterns, pair_type, PAIR_TYPES, T1, T2)
-from permsym.generators import REV1, REV2, REVREV, SW, apply_word
+from permsym.generators import (
+    REV1, REV2, REVREV, SW, apply_word, turn_first, turn_second)
 from permsym.behaviors import Behavior, NAMED_BEHAVIORS, behavior_of_word, extend
 from permsym.orbits import (
     ALL_BEHAVIORS, CellReport, OrbitCell, Report, Sample,
@@ -116,6 +117,29 @@ def test_check_canonical_accepts_word_restrictions():
             for rep in report.cell_pairs.values():
                 if rep.observed:
                     assert b in rep.behaviors
+    # Every move, mapped in full, on every pattern of size 2..6.  A plain
+    # move is canonical with no constants and explained by its behavior.
+    patterns = [p for n in range(2, 7) for p in enumerate_patterns(n)]
+    for g in (REV1, REV2, REVREV, SW):
+        b = behavior_of_word([g])
+        for p in patterns:
+            report = check_canonical(constant_set(p, []), _word_sample([g], p))
+            assert report.canonical, (g, p)
+            for rep in report.cells.values():
+                if rep.observed:
+                    assert b in rep.behaviors, (g, p)
+    # A turn is canonical once a constant sits at its cut: point k for
+    # t1@k, the point of second-order rank k for t2@k.  Without it, only
+    # 60 of the 8,332 turns are.
+    turns = free = 0
+    for p in patterns:
+        for k in range(1, p.n):
+            for g, cut in ((turn_first(k), k), (turn_second(k), p.ranks.index(k))):
+                sample = _word_sample([g], p)
+                assert check_canonical(constant_set(p, [cut]), sample).canonical, (g, p)
+                turns += 1
+                free += check_canonical(constant_set(p, []), sample).canonical
+    assert (turns, free) == (8332, 60)
 
 
 def test_check_canonical_flags_mixed_cells():

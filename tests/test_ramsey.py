@@ -4,6 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from permsym import ramsey
+from permsym.generators import apply_word, word_from_text
 from permsym.patterns import pattern_from_text, enumerate_patterns, copies_of, sub_pattern
 from permsym.ramsey import (
     INFEASIBLE, SearchResult,
@@ -109,6 +110,10 @@ def test_search_witness_examples():
     assert search_witness(POINT, DOWN, 4) == SearchResult(
         pattern_from_text("321"), ())
     assert search_witness(POINT, POINT, 1) == SearchResult(POINT, ())
+    assert search_witness(UP, pattern_from_text("4123"), 7) == SearchResult(
+        pattern_from_text("7123456"), ())
+    assert search_witness(DOWN, pattern_from_text("3214"), 7) == SearchResult(
+        pattern_from_text("6543217"), ())
 
 
 def test_search_witness_exhausts_small_sizes():
@@ -173,6 +178,22 @@ def test_check_matches_copies_by_definition(monkeypatch, gamma, omega):
     want = [check_ramsey_witness(delta, gamma, omega) for delta in hosts]
     monkeypatch.setattr(ramsey, "copies_of", copies_by_definition)
     assert [check_ramsey_witness(delta, gamma, omega) for delta in hosts] == want
+
+
+def test_check_ramsey_witness_is_invariant_under_the_symmetries():
+    # Each of the 8 symmetries of the two orders maps the triples below
+    # onto triples below, so every answer is computed once and compared.
+    hosts = _patterns(6)
+    answer = {(delta, gamma, omega): check_ramsey_witness(delta, gamma, omega)
+              for delta in hosts for gamma in (POINT, UP, DOWN)
+              for omega in enumerate_patterns(3)}
+    assert len(answer) == 15732
+    for text in ("", "rev1", "rev2", "revrev", "sw", "rev1,sw", "rev2,sw", "revrev,sw"):
+        word = word_from_text(text)
+        image = {p: apply_word(word, p).pattern for p in hosts}
+        wrong = [key for key, want in answer.items()
+                 if answer[tuple(image[p] for p in key)] != want]
+        assert not wrong, (text, wrong[:3])
 
 
 def test_ramsey_number_r33():

@@ -35,16 +35,16 @@ SUBMODULES = ("patterns", "relations", "generators", "behaviors", "letters",
               "lattice", "preservation", "orbits", "ramsey")
 
 
-def _python(code):
+def _python(code, *flags):
     """Run code in a fresh interpreter; returns its stdout parsed as JSON."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, *flags, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def _modules_after(argv):
+def _modules_after(argv, *flags):
     """Exit code and sys.modules after cli.run(argv) in a fresh interpreter.
 
     The modules are recorded before the script imports json to print them.
@@ -56,7 +56,7 @@ def _modules_after(argv):
         "    code = cli.run(%r)\n"
         "modules = sorted(sys.modules)\n"
         "import json\n"
-        "print(json.dumps([code, modules]))" % (argv,))
+        "print(json.dumps([code, modules]))" % (argv,), *flags)
 
 
 def test_ramsey_command_loads_no_lattice_modules():
@@ -79,6 +79,15 @@ def test_check_canonical_loads_no_behavior_modules(tmp_path):
     assert "permsym.orbits" in modules
     for name in ("behaviors", "generators", "lattice", "letters", "preservation"):
         assert "permsym." + name not in modules
+
+
+def test_table_command_reads_the_golden_csv_without_importlib_resources():
+    # -S keeps site out: a .pth file in site-packages may import
+    # importlib.resources itself and so hide what the command loads.
+    code, modules = _modules_after(["table"], "-S")
+    assert code == 0
+    assert "permsym.preservation" in modules
+    assert "importlib.resources" not in modules
 
 
 def test_bare_import_reaches_submodules():
