@@ -44,36 +44,29 @@ def turn_second(k):
     return GeneratorId("t2", k)
 
 
+# The orders each order-moving kind moves: (first, second).
+_MOVED = {"rev1": (True, False), "t1": (True, False), "rev2": (False, True),
+          "t2": (False, True), "revrev": (True, True)}
+
+
 def apply(g, p):
     """Apply one move to a pattern, returning a MappedTuple."""
-    n = p.n
-    r = p.ranks
-    if g.kind == "rev1":
-        mapping = tuple(n - 1 - i for i in range(n))
-        ranks = tuple(r[n - 1 - k] for k in range(n))
-    elif g.kind == "rev2":
-        mapping = tuple(range(n))
-        ranks = tuple(n - 1 - v for v in r)
-    elif g.kind == "revrev":
-        mapping = tuple(n - 1 - i for i in range(n))
-        ranks = tuple(n - 1 - r[n - 1 - k] for k in range(n))
-    elif g.kind == "sw":
-        mapping = r
-        ranks = [0] * n
-        for i in range(n):
-            ranks[r[i]] = i
-    elif g.kind == "t1":
-        k = _check_cut(g, n)
-        mapping = tuple((i + n - k) % n for i in range(n))
-        ranks = [0] * n
-        for i in range(n):
-            ranks[mapping[i]] = r[i]
-    elif g.kind == "t2":
-        k = _check_cut(g, n)
-        mapping = tuple(range(n))
-        ranks = tuple((v + n - k) % n for v in r)
-    else:
+    n, r = p.n, p.ranks
+    if g.kind == "sw":
+        # Point i goes to point r[i], so the rank sequence inverts.
+        return MappedTuple(Pattern(sorted(range(n), key=r.__getitem__)), r)
+    if g.kind not in _MOVED:
         raise ValueError("unknown generator kind: %r" % (g.kind,))
+    # The move on one order: a turn at cut k, or reversal.
+    k = _check_cut(g, n) if g.kind in TURN_KINDS else None
+    step = [n - 1 - i for i in range(n)] if k is None else [(i - k) % n for i in range(n)]
+    first, second = _MOVED[g.kind]
+    # Point i goes to step[i] when the first order moves, and rank v
+    # becomes step[v] when the second does.
+    mapping = tuple(step) if first else tuple(range(n))
+    ranks = [0] * n
+    for i in range(n):
+        ranks[mapping[i]] = step[r[i]] if second else r[i]
     return MappedTuple(Pattern(ranks), mapping)
 
 

@@ -138,6 +138,11 @@ def _observe(rows, above, a, b=None):
 def check_canonical(cs, sample):
     """Per-cell and per-cell-pair behavior report for a sampled map."""
     src, img, m = sample.source.ranks, sample.image.ranks, sample.mapping
+    if sample.source != cs.pattern:
+        raise ValueError("sample source differs from the constants' pattern")
+    for p in m:
+        if not 0 <= p < len(src):
+            raise ValueError("source point %r out of range for size %d" % (p, len(src)))
     grouped = {}
     for cell, pts in sorted(cells_of(cs).items()):
         pts = tuple(p for p in pts if p in m)

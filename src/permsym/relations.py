@@ -4,10 +4,16 @@ Each relation is first-order in the two orders.  Tuples are given as point
 indices (first-order positions); entries must be pairwise distinct, matching
 how the relations are used to tell symmetry groups apart.
 
+lt, btw, cyc and sep are stated once, on plain values, and read in the
+first order (`_first`), the second (`_second`) or either (`_either`: r2, r3
+and r4).  The relations that tie the two orders together are written out.
+
 `evaluate` validates its arguments; `evaluator` hands back the raw function
 on (ranks, tuple) for callers that loop over millions of cells and do their
 own validation up front.
 """
+
+from operator import lt
 
 
 def _btw(a, b, c):
@@ -22,6 +28,18 @@ def _sep(w, x, y, z):
     return (_cyc(w, x, y) and _cyc(w, z, x)) or (_cyc(w, y, x) and _cyc(w, x, z))
 
 
+def _first(f):
+    return lambda r, t: f(*t)
+
+
+def _second(f):
+    return lambda r, t: f(*[r[x] for x in t])
+
+
+def _either(f):
+    return lambda r, t: f(*t) or f(*[r[x] for x in t])
+
+
 # A point's two positions are its index and its rank: up means x below y
 # in both orders, dow means below in the first and above in the second.
 def _up(r, x, y):
@@ -30,38 +48,6 @@ def _up(r, x, y):
 
 def _dow(r, x, y):
     return x < y and r[y] < r[x]
-
-
-def _lt1(r, t):
-    return t[0] < t[1]
-
-
-def _lt2(r, t):
-    return r[t[0]] < r[t[1]]
-
-
-def _btw1(r, t):
-    return _btw(t[0], t[1], t[2])
-
-
-def _btw2(r, t):
-    return _btw(r[t[0]], r[t[1]], r[t[2]])
-
-
-def _cyc1(r, t):
-    return _cyc(t[0], t[1], t[2])
-
-
-def _cyc2(r, t):
-    return _cyc(r[t[0]], r[t[1]], r[t[2]])
-
-
-def _sep1(r, t):
-    return _sep(t[0], t[1], t[2], t[3])
-
-
-def _sep2(r, t):
-    return _sep(r[t[0]], r[t[1]], r[t[2]], r[t[3]])
 
 
 def _st(r, t):
@@ -84,28 +70,13 @@ def _r1(r, t):
             or (_dow(r, y, x) and _up(r, y, z) and _dow(r, z, x)))
 
 
-def _r2(r, t):
-    x, y, z = t
-    return _btw(x, y, z) or _btw(r[x], r[y], r[z])
-
-
-def _r3(r, t):
-    x, y, z = t
-    return _cyc(x, y, z) or _cyc(r[x], r[y], r[z])
-
-
-def _r4(r, t):
-    # 4-ary: the separation disjuncts need four points.
-    w, x, y, z = t
-    return _sep(w, x, y, z) or _sep(r[w], r[x], r[y], r[z])
-
-
 def _r5(r, t):
     x, y, z = t
     return ((r[x] < r[y] < r[z] and _cyc(x, y, z))
             or (r[z] < r[y] < r[x] and _cyc(z, y, x)))
 
 
+# r6 is r5 with the orders exchanged; on (ranks, tuple) that needs r inverted.
 def _r6(r, t):
     x, y, z = t
     return ((x < y < z and _cyc(r[x], r[y], r[z]))
@@ -143,10 +114,13 @@ def _r9(r, t):
 
 # name -> (arity, raw evaluator), in table column order.
 _RELATIONS = {
-    "lt1": (2, _lt1), "btw1": (3, _btw1), "cyc1": (3, _cyc1), "sep1": (4, _sep1),
-    "lt2": (2, _lt2), "btw2": (3, _btw2), "cyc2": (3, _cyc2), "sep2": (4, _sep2),
+    "lt1": (2, _first(lt)), "btw1": (3, _first(_btw)),
+    "cyc1": (3, _first(_cyc)), "sep1": (4, _first(_sep)),
+    "lt2": (2, _second(lt)), "btw2": (3, _second(_btw)),
+    "cyc2": (3, _second(_cyc)), "sep2": (4, _second(_sep)),
     "st": (2, _st), "up": (2, _up_rel), "dow": (2, _dow_rel),
-    "r1": (3, _r1), "r2": (3, _r2), "r3": (3, _r3), "r4": (4, _r4),
+    "r1": (3, _r1), "r2": (3, _either(_btw)), "r3": (3, _either(_cyc)),
+    "r4": (4, _either(_sep)),
     "r5": (3, _r5), "r6": (3, _r6), "r7": (3, _r7), "r8": (3, _r8), "r9": (4, _r9),
 }
 RELATION_NAMES = tuple(_RELATIONS)

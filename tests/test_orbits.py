@@ -183,6 +183,20 @@ def test_check_canonical_rejects_image_points_out_of_range(bad):
         check_canonical(constant_set(p, []), Sample(p, p, {0: 0, 1: bad}))
 
 
+def test_check_canonical_rejects_a_sample_of_another_pattern():
+    # the cells are cut from the constants' pattern, the keys from the sample's
+    p, q = pattern_from_text("123456"), pattern_from_text("2413")
+    with pytest.raises(ValueError, match="differs"):
+        check_canonical(constant_set(p, [4]), Sample(q, q, {k: k for k in range(4)}))
+
+
+@pytest.mark.parametrize("bad", [4, -1])
+def test_check_canonical_rejects_source_points_out_of_range(bad):
+    p = pattern_from_text("2413")
+    with pytest.raises(ValueError, match="source point .* out of range"):
+        check_canonical(constant_set(p, []), Sample(p, p, {0: 0, bad: 1}))
+
+
 def test_single_point_cells_match_all_behaviors():
     p = pattern_from_text("21")
     sample = Sample(p, p, {0: 0, 1: 1})

@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -193,6 +194,25 @@ def test_check_ramsey_witness_is_invariant_under_the_symmetries():
         image = {p: apply_word(word, p).pattern for p in hosts}
         wrong = [key for key, want in answer.items()
                  if answer[tuple(image[p] for p in key)] != want]
+        assert not wrong, (text, wrong[:3])
+
+
+def test_smallest_witness_size_is_invariant_under_the_symmetries():
+    # The smallest host's size, or none up to 6, is the same across each
+    # pair's 8 symmetry images; the host itself can differ, because ties
+    # are broken lexicographically.
+    size = {}
+    for gamma in (POINT, UP, DOWN):
+        for omega in (w for n in (3, 4) for w in enumerate_patterns(n)):
+            result = search_witness(gamma, omega, 6)
+            assert result.infeasible == ()
+            size[gamma, omega] = None if result.pattern is None else result.pattern.n
+    assert len(size) == 90
+    assert Counter(size.values()) == {None: 50, 3: 6, 4: 12, 5: 10, 6: 12}
+    for text in ("rev1", "rev2", "revrev", "sw", "rev1,sw", "rev2,sw", "revrev,sw"):
+        word = word_from_text(text)
+        wrong = [key for key, want in size.items()
+                 if size[tuple(apply_word(word, p).pattern for p in key)] != want]
         assert not wrong, (text, wrong[:3])
 
 

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from permsym.patterns import Pattern, T1, T2, pattern_from_text, pair_type
+from permsym.generators import SW, apply
+from permsym.patterns import (
+    Pattern, T1, T2, enumerate_patterns, pattern_from_text, pair_type)
+from permsym.preservation import golden_table
 from permsym.relations import RELATION_NAMES, ARITY, arity, evaluate
 
 perms = st.integers(min_value=2, max_value=5).flatmap(
@@ -143,3 +146,33 @@ def test_chain_relations(ranks):
                  or (evaluate("cyc1", p, (z, y, x))
                      and evaluate("cyc2", p, (z, y, x))))
         assert evaluate("r7", p, t) == want7
+
+
+# Exchanging the orders turns each first-order relation into its
+# second-order twin, and r5 into r6; st, up, r2, r3, r4 and r7 stay.
+EXCHANGE_TWINS = {"lt1": "lt2", "btw1": "btw2", "cyc1": "cyc2", "sep1": "sep2", "r5": "r6"}
+EXCHANGE_TWINS.update({b: a for a, b in EXCHANGE_TWINS.items()})
+EXCHANGE_TWINS.update((name, name) for name in ("st", "up", "r2", "r3", "r4", "r7"))
+
+
+def test_exchange_maps_each_relation_to_its_twin():
+    # rel(p, t) == twin(sw p, t mapped) on every tuple of every pattern from
+    # size arity to 5; dow, r1, r8 and r9 have no twin among the 20.
+    truth, exchanged = {}, {}
+    for name in RELATION_NAMES:
+        k, cells, moved = ARITY[name], [], []
+        for n in range(k, 6):
+            for p in enumerate_patterns(n):
+                q, mapping = apply(SW, p)
+                for t in permutations(range(n), k):
+                    cells.append(evaluate(name, p, t))
+                    moved.append(evaluate(name, q, tuple(mapping[x] for x in t)))
+        truth[name], exchanged[name] = cells, moved
+    twins = {a: [b for b in RELATION_NAMES if ARITY[b] == ARITY[a]
+                 and exchanged[b] == truth[a]] for a in RELATION_NAMES}
+    assert twins == {a: [EXCHANGE_TWINS[a]] if a in EXCHANGE_TWINS else []
+                     for a in RELATION_NAMES}
+    # the fixed relations are exactly what the published row f preserves
+    fixed = {a for a, b in EXCHANGE_TWINS.items() if a == b}
+    _, golden = golden_table()
+    assert fixed == {a for a, bit in zip(RELATION_NAMES, golden["f"]) if bit}
