@@ -86,6 +86,7 @@ def _parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", help="compute the preservation table")
+    p.set_defaults(run=_cmd_table)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--diff", action="store_true",
                    help="report cells differing from the published table")
@@ -93,24 +94,29 @@ def _parser():
                    help="alternative golden table CSV")
 
     p = sub.add_parser("lattice", help="enumerate the 39 closed groups")
+    p.set_defaults(run=_cmd_lattice)
     p.add_argument("--format", choices=("json", "dot", "text"), default="json")
     p.add_argument("--count-only", action="store_true")
 
     p = sub.add_parser("closure", help="close a letter set under its invariants")
+    p.set_defaults(run=_cmd_closure)
     p.add_argument("letters", help="letter set, e.g. abf")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("classify", help="classify a pair behavior")
+    p.set_defaults(run=_cmd_classify)
     p.add_argument("--behavior", type=_behavior, required=True,
                    metavar="T,T", help="images of the two pair types, e.g. t1,t2")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("witness", help="show a violating move word for a cell")
+    p.set_defaults(run=_cmd_witness)
     p.add_argument("label", help="group label, e.g. e")
     p.add_argument("relation", help="relation name, e.g. cyc1")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("orbits", help="orbit cells relative to constants")
+    p.set_defaults(run=_cmd_orbits)
     p.add_argument("--pattern", type=_pattern, required=True)
     p.add_argument("--constants", type=_points, default=[],
                    metavar="LIST", help="1-based point list, e.g. 2,3")
@@ -118,15 +124,18 @@ def _parser():
 
     p = sub.add_parser("check-canonical",
                        help="behavior report for a sampled map (JSON file or '-')")
+    p.set_defaults(run=_cmd_check_canonical)
     p.add_argument("sample", help="JSON file with source_pattern, image_pattern, map, constants")
 
     p = sub.add_parser("ramsey", help="exhaustive Ramsey check on a host")
+    p.set_defaults(run=_cmd_ramsey)
     p.add_argument("--delta", type=_pattern, required=True)
     p.add_argument("--gamma", type=_pattern, required=True)
     p.add_argument("--omega", type=_pattern, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("ramsey-search", help="smallest host passing the Ramsey check")
+    p.set_defaults(run=_cmd_ramsey_search)
     p.add_argument("--gamma", type=_pattern, required=True)
     p.add_argument("--omega", type=_pattern, required=True)
     p.add_argument("--max-n", type=int, default=4)
@@ -141,19 +150,8 @@ def run(argv):
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    handler = {
-        "table": _cmd_table,
-        "lattice": _cmd_lattice,
-        "closure": _cmd_closure,
-        "classify": _cmd_classify,
-        "witness": _cmd_witness,
-        "orbits": _cmd_orbits,
-        "check-canonical": _cmd_check_canonical,
-        "ramsey": _cmd_ramsey,
-        "ramsey-search": _cmd_ramsey_search,
-    }[args.command]
     try:
-        return handler(args)
+        return args.run(args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -177,12 +175,7 @@ def _cmd_table(args):
     if args.diff:
         diffs = preservation.diff_golden(result.rows, golden)
         if args.format == "json":
-            print(json.dumps({
-                "mismatches": [
-                    {"label": d.label, "relation": d.relation,
-                     "golden": d.golden, "computed": d.computed}
-                    for d in diffs],
-            }, indent=2))
+            print(json.dumps({"mismatches": [d._asdict() for d in diffs]}, indent=2))
         else:
             print("%d mismatches" % len(diffs))
             for d in diffs:

@@ -28,13 +28,13 @@ first hit is the witness:
 The scan's states are k-types at k = arity: a size-k pattern with an
 ordering of all its points, numbered pattern * k! + tuple with both in
 lexicographic order (``_space``: (k!)^2 entries per size, so scan sizes
-only, k <= 4).  A move is named by its text, a generator word or a
-scramble i@target / j@target, and tabulated as one (image, mapping)
-index pair per pattern; a word's pairs compose through the k! x k!
-table of point mappings.  A relation's truth is one byte per state,
-read as one big-endian int.  A move's truth after it gathers each
-image's bytes through the mapping; in ``before & ~after`` the highest
-set bit is the first broken state: the witness.
+only, k <= 4).  Each letter's moves are stated once, as the texts its
+witnesses print (``letter_moves``), and tabulated as one (image,
+mapping) index pair per pattern; a word's generators compose through
+the k! x k! table of point mappings.  A relation's truth is one byte
+per state, read as one big-endian int.  A move's truth after it
+gathers each image's bytes through the mapping; in ``before & ~after``
+the highest set bit is the first broken state: the witness.
 """
 
 from collections import namedtuple
@@ -43,9 +43,7 @@ from operator import itemgetter
 
 from . import relations
 from .patterns import enumerate_patterns, pattern_to_text
-from .generators import (
-    REV1, REV2, REVREV, SW, turn_first, turn_second, apply, word_to_text,
-)
+from .generators import apply, word_from_text
 
 LETTERS = "abcdefghij"
 SCRAMBLE_LETTERS = "ij"
@@ -54,28 +52,6 @@ SCRAMBLE_LETTERS = "ij"
 Witness = namedtuple(
     "Witness",
     ["relation", "pattern", "points", "moves", "image_pattern", "image_points"])
-
-
-def letter_words(letter, n):
-    """The generator words realizing one letter's moves at size n."""
-    if letter == "a":
-        return [[REV2]]
-    if letter == "c":
-        return [[REV1]]
-    if letter == "e":
-        return [[REVREV]]
-    if letter == "f":
-        return [[SW]]
-    if letter == "g":
-        return [[REVREV, SW]]
-    if letter == "h":
-        # The two order-4 rotations; inverses of each other.
-        return [[REV2, SW], [REV1, SW]]
-    if letter == "b":
-        return [[turn_second(k)] for k in range(n + 1)]
-    if letter == "d":
-        return [[turn_first(k)] for k in range(n + 1)]
-    raise ValueError("letter %r has no word moves" % (letter,))
 
 
 @lru_cache(maxsize=None)
@@ -104,12 +80,23 @@ def _scramble(letter, target, n):
     return (0,) * len(pats) if letter == "i" else compose[compose[target].index(0)]
 
 
+# The texts of the turn-free letters' moves (h's are the two order-4
+# rotations, inverses of each other), and the order b and d turn.
+_TEXTS = {"a": ["rev2"], "c": ["rev1"], "e": ["revrev"], "f": ["sw"],
+          "g": ["revrev,sw"], "h": ["rev2,sw", "rev1,sw"]}
+_TURNS = {"b": "t2", "d": "t1"}
+
+
 def letter_moves(letter, n):
     """The texts of one letter's moves at size n, deterministic order: a
     generator word, or i@target / j@target for each size-n target."""
     if letter in SCRAMBLE_LETTERS:
         return ["%s@%s" % (letter, pattern_to_text(q)) for q in enumerate_patterns(n)]
-    return [word_to_text(w) for w in letter_words(letter, n)]
+    if letter in _TURNS:
+        return ["%s@%d" % (_TURNS[letter], k) for k in range(n + 1)]
+    if letter in _TEXTS:
+        return list(_TEXTS[letter])
+    raise ValueError("letter %r has no moves" % (letter,))
 
 
 @lru_cache(maxsize=None)
@@ -117,17 +104,18 @@ def _move_tables(letter, n):
     """(text, (images, mappings)) for each letter_moves move: its image and
     mapping index per pattern; a word's composes its generators'."""
     pats, _, compose, _ = _space(n)
-    if letter in SCRAMBLE_LETTERS:
-        tables = [((q,) * len(pats), _scramble(letter, q, n)) for q in range(len(pats))]
-    else:
-        tables = []
-        for word in letter_words(letter, n):
+    tables = []
+    for target, text in enumerate(letter_moves(letter, n)):
+        if letter in SCRAMBLE_LETTERS:
+            images, maps = (target,) * len(pats), _scramble(letter, target, n)
+        else:
             images, maps = range(len(pats)), (0,) * len(pats)
-            for step_images, step_maps in (_generator_table(g, n) for g in word):
+            for g in word_from_text(text):
+                step_images, step_maps = _generator_table(g, n)
                 maps = tuple(compose[step_maps[q]][m] for q, m in zip(images, maps))
                 images = tuple(step_images[q] for q in images)
-            tables.append((images, maps))
-    return tuple(zip(letter_moves(letter, n), tables))
+        tables.append((text, (images, maps)))
+    return tuple(tables)
 
 
 @lru_cache(maxsize=None)

@@ -135,13 +135,29 @@ def test_table_diff_pins_the_one_difference(capsys):
     ]
 
 
-def test_table_diff_json(capsys):
+def test_table_diff_json(capsys, tmp_path):
     code, out, _ = _run(capsys, "table", "--diff", "--format", "json")
     data = json.loads(out)
     assert code == 1
     assert list(data) == ["mismatches"]
     assert data["mismatches"] == [
         {"label": "de", "relation": "r1", "golden": True, "computed": False}]
+    # A golden row the table does not compute reads "computed": null, and
+    # each entry keeps the key order label, relation, golden, computed.
+    text = resources.files("permsym.data").joinpath("golden_table.csv").read_text()
+    path = tmp_path / "extra_row.csv"
+    path.write_text(text.rstrip("\n") + "\nzz," + ",".join(["1"] * 20) + "\n")
+    code, out, _ = _run(capsys, "table", "--diff", "--format", "json",
+                        "--golden", str(path))
+    mismatches = json.loads(out)["mismatches"]
+    assert code == 1 and len(mismatches) == 21
+    assert mismatches[0] == {
+        "label": "de", "relation": "r1", "golden": True, "computed": False}
+    extra = [m for m in mismatches if m["label"] == "zz"]
+    assert [m["relation"] for m in extra] == list(relations.RELATION_NAMES)
+    assert all(m["golden"] is True and m["computed"] is None for m in extra)
+    assert all(list(m) == ["label", "relation", "golden", "computed"]
+               for m in mismatches)
 
 
 def _corrected_golden(tmp_path):

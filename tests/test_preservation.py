@@ -4,10 +4,11 @@ from permsym import relations
 from permsym.patterns import pattern_to_text, enumerate_patterns
 from permsym.generators import (
     REV2, REVREV, SW, turn_first, turn_second, generator_to_text,
+    word_from_text, word_to_text,
 )
 from permsym.lattice import LETTERS, closure, enumerate_lattice, minimal_label
 from permsym.letters import (
-    Witness, letter_words, letter_moves, letter_preserves,
+    Witness, letter_moves, letter_preserves,
     letter_matrix, letter_witness, _scramble, _space,
 )
 from permsym.preservation import (
@@ -36,11 +37,17 @@ def test_letter_rows_match_golden():
         assert bits == golden[letter], letter
 
 
-def test_letter_words_cover_cuts():
-    assert letter_words("b", 3) == [[turn_second(k)] for k in range(4)]
-    assert letter_words("d", 2) == [[turn_first(k)] for k in range(3)]
+def test_letter_moves_cover_cuts():
+    for n in range(6):
+        cuts = range(n + 1)
+        assert letter_moves("b", n) == [generator_to_text(turn_second(k)) for k in cuts]
+        assert letter_moves("d", n) == [generator_to_text(turn_first(k)) for k in cuts]
+        # every non-scramble move is a generator word in its canonical text
+        for letter in "abcdefgh":
+            for text in letter_moves(letter, n):
+                assert text == word_to_text(word_from_text(text)), (letter, n, text)
     with pytest.raises(ValueError):
-        letter_words("i", 3)
+        letter_moves("z", 3)
 
 
 def test_letter_preserves_validation():
