@@ -16,10 +16,9 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
-from .letters import LETTERS, letter_preserves
+from .letters import FULL, LETTERS, letter_preserves
 from .relations import RELATION_NAMES
 
-FULL = frozenset(LETTERS)
 _ALL_RELATIONS = (1 << len(RELATION_NAMES)) - 1
 
 ClosedSet = namedtuple("ClosedSet", ["members", "name"])
@@ -34,7 +33,7 @@ def _preserved_masks():
 
 
 def _check_letters(s):
-    bad = set(s) - set(LETTERS)
+    bad = set(s) - FULL
     if bad:
         raise ValueError("unknown letters: %s" % ",".join(sorted(bad)))
     return frozenset(s)

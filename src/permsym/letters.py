@@ -46,6 +46,7 @@ from .patterns import enumerate_patterns, pattern_to_text
 from .generators import apply, word_from_text
 
 LETTERS = "abcdefghij"
+FULL = frozenset(LETTERS)
 SCRAMBLE_LETTERS = "ij"
 
 # A replayable counterexample: the move sends a true tuple to a false one.
@@ -90,13 +91,13 @@ _TURNS = {"b": "t2", "d": "t1"}
 def letter_moves(letter, n):
     """The texts of one letter's moves at size n, deterministic order: a
     generator word, or i@target / j@target for each size-n target."""
+    if letter not in FULL:
+        raise ValueError("unknown letter: %r" % (letter,))
     if letter in SCRAMBLE_LETTERS:
         return ["%s@%s" % (letter, pattern_to_text(q)) for q in enumerate_patterns(n)]
     if letter in _TURNS:
         return ["%s@%d" % (_TURNS[letter], k) for k in range(n + 1)]
-    if letter in _TEXTS:
-        return list(_TEXTS[letter])
-    raise ValueError("letter %r has no moves" % (letter,))
+    return list(_TEXTS[letter])
 
 
 @lru_cache(maxsize=None)
@@ -135,7 +136,7 @@ def letter_witness(letter, relation):
     lexicographic order, then tuples, so the hit is reproducible.  None
     means the letter preserves the relation at every size.
     """
-    if letter not in LETTERS:
+    if letter not in FULL:
         raise ValueError("unknown letter: %r" % (letter,))
     rows, before = _truth(relation)
     pats, _, compose, getters = _space(relations.arity(relation))

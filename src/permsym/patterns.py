@@ -85,10 +85,9 @@ def pattern_from_text(text):
     else:
         parts = list(text)
     try:
-        values = [int(p) for p in parts]
+        return Pattern(int(p) - 1 for p in parts)
     except ValueError:
         raise ValueError("bad pattern text: %r" % (text,))
-    return Pattern(v - 1 for v in values)
 
 
 def pattern_to_text(p):

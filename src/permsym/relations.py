@@ -1,19 +1,20 @@
 """Evaluators for the 20 invariant relations of the preservation table.
 
-Each relation is first-order in the two orders.  Tuples are given as point
-indices (first-order positions); entries must be pairwise distinct, matching
-how the relations are used to tell symmetry groups apart.
-
-lt, btw, cyc and sep are stated once, on plain values, and read in the
-first order (`_first`), the second (`_second`) or either (`_either`: r2, r3
-and r4).  The relations that tie the two orders together are written out.
+Each relation is first-order in the two orders.  Tuples are point indices
+(first-order positions), pairwise distinct.  lt, btw, cyc and sep are
+stated once, on plain values, and read in the first order (`_first`), the
+second (`_second`), or both joined by one operator (`_joined`): or_ for
+either order (r2-r4), eq for the same in both (st, r7), and_ for both
+(up), gt for the first only (dow, r8).  r7 and r8 rest on distinct
+points: exactly one of cyc(x,y,z) and cyc(z,y,x) holds.  r1, r5, r6 and
+r9 combine several readings, so they are written out.
 
 `evaluate` validates its arguments; `evaluator` hands back the raw function
 on (ranks, tuple) for callers that loop over millions of cells and do their
 own validation up front.
 """
 
-from operator import lt
+from operator import and_, eq, gt, lt, or_
 
 
 def _btw(a, b, c):
@@ -36,38 +37,21 @@ def _second(f):
     return lambda r, t: f(*[r[x] for x in t])
 
 
-def _either(f):
-    return lambda r, t: f(*t) or f(*[r[x] for x in t])
+def _joined(f, op):
+    return lambda r, t: op(f(*t), f(*[r[x] for x in t]))
 
 
 # A point's two positions are its index and its rank: up means x below y
 # in both orders, dow means below in the first and above in the second.
-def _up(r, x, y):
-    return x < y and r[x] < r[y]
-
-
-def _dow(r, x, y):
-    return x < y and r[y] < r[x]
-
-
-def _st(r, t):
-    return (t[0] < t[1]) == (r[t[0]] < r[t[1]])
-
-
-def _up_rel(r, t):
-    return _up(r, t[0], t[1])
-
-
-def _dow_rel(r, t):
-    return _dow(r, t[0], t[1])
+_up, _dow = _joined(lt, and_), _joined(lt, gt)
 
 
 def _r1(r, t):
     x, y, z = t
-    return ((_up(r, x, y) and _dow(r, y, z) and _up(r, x, z))
-            or (_dow(r, x, y) and _up(r, z, y) and _dow(r, x, z))
-            or (_up(r, y, x) and _dow(r, z, y) and _up(r, z, x))
-            or (_dow(r, y, x) and _up(r, y, z) and _dow(r, z, x)))
+    return ((_up(r, (x, y)) and _dow(r, (y, z)) and _up(r, (x, z)))
+            or (_dow(r, (x, y)) and _up(r, (z, y)) and _dow(r, (x, z)))
+            or (_up(r, (y, x)) and _dow(r, (z, y)) and _up(r, (z, x)))
+            or (_dow(r, (y, x)) and _up(r, (y, z)) and _dow(r, (z, x))))
 
 
 def _r5(r, t):
@@ -81,17 +65,6 @@ def _r6(r, t):
     x, y, z = t
     return ((x < y < z and _cyc(r[x], r[y], r[z]))
             or (z < y < x and _cyc(r[z], r[y], r[x])))
-
-
-def _r7(r, t):
-    x, y, z = t
-    return ((_cyc(x, y, z) and _cyc(r[x], r[y], r[z]))
-            or (_cyc(z, y, x) and _cyc(r[z], r[y], r[x])))
-
-
-def _r8(r, t):
-    x, y, z = t
-    return _cyc(x, y, z) and not _cyc(r[x], r[y], r[z])
 
 
 # Allowed (first triple, second triple) truth patterns for r9, keyed by
@@ -118,13 +91,12 @@ _RELATIONS = {
     "cyc1": (3, _first(_cyc)), "sep1": (4, _first(_sep)),
     "lt2": (2, _second(lt)), "btw2": (3, _second(_btw)),
     "cyc2": (3, _second(_cyc)), "sep2": (4, _second(_sep)),
-    "st": (2, _st), "up": (2, _up_rel), "dow": (2, _dow_rel),
-    "r1": (3, _r1), "r2": (3, _either(_btw)), "r3": (3, _either(_cyc)),
-    "r4": (4, _either(_sep)),
-    "r5": (3, _r5), "r6": (3, _r6), "r7": (3, _r7), "r8": (3, _r8), "r9": (4, _r9),
+    "st": (2, _joined(lt, eq)), "up": (2, _up), "dow": (2, _dow),
+    "r1": (3, _r1), "r2": (3, _joined(_btw, or_)), "r3": (3, _joined(_cyc, or_)),
+    "r4": (4, _joined(_sep, or_)), "r5": (3, _r5), "r6": (3, _r6),
+    "r7": (3, _joined(_cyc, eq)), "r8": (3, _joined(_cyc, gt)), "r9": (4, _r9),
 }
 RELATION_NAMES = tuple(_RELATIONS)
-ARITY = {name: k for name, (k, _) in _RELATIONS.items()}
 
 
 def _relation(name):

@@ -276,6 +276,12 @@ def test_orbits_constant_out_of_range_is_one_based(capsys):
     assert (code, out, err) == (2, "", "error: constant point 4 out of range 1..3\n")
 
 
+def test_orbits_bad_pattern_is_reported_as_text(capsys):
+    code, out, err = _run(capsys, "orbits", "--pattern", "0")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.endswith("bad pattern text: '0'\n")
+
+
 def _sample_file(tmp_path, payload):
     path = tmp_path / "sample.json"
     path.write_text(json.dumps(payload))

@@ -25,9 +25,10 @@ def test_parse_commas():
     assert pattern_from_text("10,9,8,7,6,5,4,3,2,1").n == 10
 
 
-@pytest.mark.parametrize("bad", ["0", "22", "13", "2,2", "a", "1,", "132 4"])
+@pytest.mark.parametrize("bad", ["0", "22", "13", "11", "1,3", "2,2", "a", "1,", "132 4"])
 def test_parse_rejects(bad):
-    with pytest.raises(ValueError):
+    # out-of-range or repeated ranks are reported as the 1-based text
+    with pytest.raises(ValueError, match="^bad pattern text: %r$" % (bad,)):
         pattern_from_text(bad)
 
 

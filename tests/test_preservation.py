@@ -50,6 +50,15 @@ def test_letter_moves_cover_cuts():
         letter_moves("z", 3)
 
 
+@pytest.mark.parametrize("bad", ["", "ij", "A", "k"])
+def test_letters_are_checked_by_equality(bad):
+    # one of the ten letters, not any substring of "abcdefghij"
+    with pytest.raises(ValueError, match="unknown letter"):
+        letter_witness(bad, "lt2")
+    with pytest.raises(ValueError, match="unknown letter"):
+        letter_moves(bad, 2)
+
+
 def test_letter_preserves_validation():
     with pytest.raises(ValueError):
         letter_preserves("z", "lt1")

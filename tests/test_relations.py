@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from permsym.generators import SW, apply
 from permsym.patterns import (
-    Pattern, T1, T2, enumerate_patterns, pattern_from_text, pair_type)
+    Pattern, T1, T2, T3, enumerate_patterns, pattern_from_text, pair_type)
 from permsym.preservation import golden_table
-from permsym.relations import RELATION_NAMES, ARITY, arity, evaluate
+from permsym.relations import RELATION_NAMES, arity, evaluate
 
 perms = st.integers(min_value=2, max_value=5).flatmap(
     lambda n: st.permutations(list(range(n))))
@@ -18,7 +18,7 @@ def test_relation_inventory():
     assert len(RELATION_NAMES) == 20
     assert RELATION_NAMES[0] == "lt1"
     assert RELATION_NAMES[-1] == "r9"
-    assert sorted(ARITY.values()) == sorted([2] * 5 + [3] * 11 + [4] * 4)
+    assert sorted(map(arity, RELATION_NAMES)) == sorted([2] * 5 + [3] * 11 + [4] * 4)
 
 
 def test_arity_rejects_unknown():
@@ -96,6 +96,7 @@ def test_up_dow_match_pair_types(ranks):
                 continue
             assert evaluate("up", p, (x, y)) == (pair_type(p, x, y) == T1)
             assert evaluate("dow", p, (x, y)) == (pair_type(p, x, y) == T2)
+            assert evaluate("st", p, (x, y)) == (pair_type(p, x, y) in (T1, T3))
 
 
 def _cyclically_between(a, m, b):
@@ -160,7 +161,7 @@ def test_exchange_maps_each_relation_to_its_twin():
     # size arity to 5; dow, r1, r8 and r9 have no twin among the 20.
     truth, exchanged = {}, {}
     for name in RELATION_NAMES:
-        k, cells, moved = ARITY[name], [], []
+        k, cells, moved = arity(name), [], []
         for n in range(k, 6):
             for p in enumerate_patterns(n):
                 q, mapping = apply(SW, p)
@@ -168,7 +169,7 @@ def test_exchange_maps_each_relation_to_its_twin():
                     cells.append(evaluate(name, p, t))
                     moved.append(evaluate(name, q, tuple(mapping[x] for x in t)))
         truth[name], exchanged[name] = cells, moved
-    twins = {a: [b for b in RELATION_NAMES if ARITY[b] == ARITY[a]
+    twins = {a: [b for b in RELATION_NAMES if arity(b) == arity(a)
                  and exchanged[b] == truth[a]] for a in RELATION_NAMES}
     assert twins == {a: [EXCHANGE_TWINS[a]] if a in EXCHANGE_TWINS else []
                      for a in RELATION_NAMES}
