@@ -15,7 +15,7 @@ import os
 import sys
 import types
 
-from .patterns import pattern_from_text, pattern_to_text, T1, T2, T3, T4
+from .patterns import Behavior, pattern_from_text, pattern_to_text, T1, T2, T3, T4
 
 
 class _LazyModule(types.ModuleType):
@@ -53,7 +53,7 @@ def _behavior(text):
     if len(parts) != 2 or any(p not in NAMES_TYPE for p in parts):
         raise argparse.ArgumentTypeError(
             "behavior must look like t1,t2 (images of the two pair types)")
-    return behaviors.Behavior(NAMES_TYPE[parts[0]], NAMES_TYPE[parts[1]])
+    return Behavior(NAMES_TYPE[parts[0]], NAMES_TYPE[parts[1]])
 
 
 def _behavior_text(b):
@@ -65,7 +65,7 @@ def _points(text):
     for part in text.split(","):
         part = part.strip()
         if part:
-            if not part.isdigit() or int(part) < 1:
+            if not (part.isascii() and part.isdigit()) or int(part) < 1:
                 raise argparse.ArgumentTypeError(
                     "points are 1-based integers, got %r" % (part,))
             out.append(int(part) - 1)
@@ -251,7 +251,6 @@ def _cmd_classify(args):
 def _cmd_witness(args):
     element = lattice.find(args.label)
     rel = args.relation
-    relations.arity(rel)
     w = preservation.find_witness(element.members, rel)
     if w is None:
         print("%s preserves %s at every size; no witness exists" % (args.label, rel))

@@ -58,6 +58,10 @@ class Pattern:
     def __setattr__(self, name, value):
         raise AttributeError("Pattern is immutable")
 
+    def __reduce__(self):
+        """Copy and pickle rebuild through the constructor; __setattr__ is blocked."""
+        return Pattern, (self.ranks,)
+
     @property
     def n(self):
         return len(self.ranks)
@@ -78,16 +82,16 @@ class Pattern:
 def pattern_from_text(text):
     """Parse "231" or "2,3,1" (1-based second-order ranks in first-order order)."""
     text = text.strip()
-    if text == "":
-        return Pattern(())
     if "," in text:
         parts = [p.strip() for p in text.split(",")]
     else:
         parts = list(text)
-    try:
-        return Pattern(int(p) - 1 for p in parts)
-    except ValueError:
-        raise ValueError("bad pattern text: %r" % (text,))
+    if all(p.isascii() and p.isdigit() for p in parts):
+        try:
+            return Pattern(int(p) - 1 for p in parts)
+        except ValueError:
+            pass
+    raise ValueError("bad pattern text: %r" % (text,))
 
 
 def pattern_to_text(p):

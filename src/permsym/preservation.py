@@ -27,7 +27,9 @@ def find_witness(members, relation):
     """Witness of the first member letter, in sorted order, that has one.
 
     None when every member letter, and so the group, preserves the relation.
+    An unknown relation raises ValueError, even for the empty letter set.
     """
+    relations.arity(relation)
     for letter in sorted(members):
         w = letter_witness(letter, relation)
         if w is not None:

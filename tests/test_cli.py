@@ -242,8 +242,9 @@ def test_size_and_word_bounds_are_gone(capsys):
 def test_witness_validation(capsys):
     code, _, err = _run(capsys, "witness", "zz", "lt1")
     assert code == 2 and "unknown group label" in err
-    code, _, err = _run(capsys, "witness", "e", "nope")
-    assert code == 2 and "unknown relation" in err
+    for label in ("e", "bottom"):
+        code, _, err = _run(capsys, "witness", label, "nope")
+        assert (code, err) == (2, "error: unknown relation: 'nope'\n")
 
 
 def test_orbits_text(capsys):
@@ -413,6 +414,7 @@ def test_usage_errors(capsys):
     assert _run(capsys, "no-such-command")[0] == 2
     assert _run(capsys, "orbits", "--pattern", "10")[0] == 2
     assert _run(capsys, "orbits", "--pattern", "213", "--constants", "0")[0] == 2
+    assert _run(capsys, "orbits", "--pattern", "213", "--constants", "\u0662")[0] == 2
     assert _run(capsys, "ramsey", "--delta", "12", "--gamma", "1")[0] == 2
 
 

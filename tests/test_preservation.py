@@ -172,6 +172,11 @@ def test_find_witness_none_when_preserved():
     assert find_witness(frozenset("e"), "btw1") is None
 
 
+def test_find_witness_checks_the_relation_without_members():
+    with pytest.raises(ValueError, match="^unknown relation: 'zz'$"):
+        find_witness(frozenset(), "zz")
+
+
 def test_diff_golden_regression():
     # The computed table disagrees with the published one in exactly one
     # cell: the printed de row claims the quarter-turn variant survives

@@ -1,5 +1,5 @@
-"""Start-up: a command imports only the modules it runs, and the package's
-public names all still resolve."""
+"""Start-up: a command imports only the modules it runs, and a bare
+``import permsym`` loads no submodule until one is first used."""
 
 import json
 import os
@@ -13,24 +13,6 @@ import permsym
 
 SRC = str(Path(permsym.__file__).resolve().parent.parent)
 
-# Every name `permsym` re-exported when its __init__ imported all modules.
-REEXPORTS = """
-    Pattern T1 T2 T3 T4 PAIR_TYPES REVERSED_TYPE pattern_from_text
-    pattern_to_text from_points pair_type sub_pattern copies_of
-    enumerate_patterns
-    RELATION_NAMES arity evaluate
-    GeneratorId REV1 REV2 REVREV SW turn_first turn_second apply inverse
-    apply_word word_from_text word_to_text
-    Behavior BehaviorClass behavior_of_word extend compose classify
-    named_group_table subgroups
-    Witness letter_witness letter_preserves
-    ClosedSet closure closure_trace enumerate_lattice by_label join meet
-    minimal_label hasse export_dot
-    PreservationRow full_table golden_table load_golden diff_golden
-    find_witness
-    ConstantSet OrbitCell Sample constant_set cells_of check_canonical
-    INFEASIBLE find_mono_copy check_ramsey_witness search_witness
-""".split()
 SUBMODULES = ("patterns", "relations", "generators", "behaviors", "letters",
               "lattice", "preservation", "orbits", "ramsey")
 
@@ -100,18 +82,19 @@ def test_bare_import_reaches_submodules():
     assert got == [[0, 1], True]
 
 
-def test_every_reexport_resolves_in_a_fresh_interpreter():
-    names = REEXPORTS + list(SUBMODULES)
+def test_submodules_load_on_first_access():
     got = _python(
-        "import json, permsym\n"
-        "from permsym import %s\n"
-        "print(json.dumps([%s]))" % (", ".join(names), ", ".join(
-            "%s is getattr(permsym, %r)" % (n, n) for n in names)))
-    assert got == [True] * len(names)
+        "import json, sys, permsym\n"
+        "loaded = [m for m in sys.modules if m.startswith('permsym.')]\n"
+        "print(json.dumps([loaded, [getattr(permsym, n) is sys.modules['permsym.' + n]"
+        " for n in %r]]))" % (SUBMODULES,))
+    assert got == [[], [True] * len(SUBMODULES)]
 
 
 def test_unknown_attribute_raises():
-    with pytest.raises(AttributeError):
-        permsym.no_such_name
-    with pytest.raises(ImportError):
-        exec("from permsym import no_such_name", {})
+    # names are imported from their modules, not from the package
+    for name in ("no_such_name", "Pattern"):
+        with pytest.raises(AttributeError, match="has no attribute %r" % (name,)):
+            getattr(permsym, name)
+        with pytest.raises(ImportError):
+            exec("from permsym import %s" % name, {})
