@@ -61,15 +61,13 @@ def _behavior_text(b):
 
 
 def _points(text):
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if part:
-            if not (part.isascii() and part.isdigit()) or int(part) < 1:
-                raise argparse.ArgumentTypeError(
-                    "points are 1-based integers, got %r" % (part,))
-            out.append(int(part) - 1)
-    return out
+    """1-based point list, e.g. "2,3"; a blank list is no points."""
+    parts = [part.strip() for part in text.split(",")] if text.strip() else []
+    for part in parts:
+        if not (part.isascii() and part.isdigit()) or int(part) < 1:
+            raise argparse.ArgumentTypeError(
+                "points are 1-based integers, got %r" % (part,))
+    return [int(part) for part in parts]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -277,7 +275,7 @@ def _cmd_witness(args):
 
 def _cmd_orbits(args):
     cs = orbits.constant_set(args.pattern, [
-        _sample_point(c + 1, args.pattern.n, "constant") for c in args.constants])
+        _sample_point(c, args.pattern.n, "constant") for c in args.constants])
     table = orbits.cells_of(cs)
     ordered = sorted(table)
     if args.format == "json":

@@ -16,7 +16,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
-from .letters import FULL, LETTERS, letter_preserves
+from .letters import FULL, LETTERS, letter_witness
 from .relations import RELATION_NAMES
 
 _ALL_RELATIONS = (1 << len(RELATION_NAMES)) - 1
@@ -28,7 +28,8 @@ ClosedSet = namedtuple("ClosedSet", ["members", "name"])
 def _preserved_masks():
     """Per letter, in LETTERS order, its preserved relations as a bitmask."""
     return tuple(
-        sum(1 << k for k, rel in enumerate(RELATION_NAMES) if letter_preserves(x, rel))
+        sum(1 << k for k, rel in enumerate(RELATION_NAMES)
+            if letter_witness(x, rel) is None)
         for x in LETTERS)
 
 
@@ -100,16 +101,11 @@ def enumerate_lattice():
     return [ClosedSet(c, name) for c, name in closed.items()]
 
 
-def by_label():
-    """Label -> ClosedSet for all 39 lattice elements."""
-    return {x.name: x for x in enumerate_lattice()}
-
-
 def find(label):
-    table = by_label()
-    if label not in table:
-        raise ValueError("unknown group label: %r" % (label,))
-    return table[label]
+    for x in enumerate_lattice():
+        if x.name == label:
+            return x
+    raise ValueError("unknown group label: %r" % (label,))
 
 
 def join(x, y):

@@ -150,16 +150,3 @@ def letter_witness(letter, relation):
                            pats[images[p]], pats[compose[maps[p]][t]].ranks)
     return None
 
-
-def letter_preserves(letter, relation):
-    """True iff every move of the letter preserves the relation."""
-    return letter_witness(letter, relation) is None
-
-
-def letter_matrix():
-    """(letter, relation) -> preserved, for all 10 letters and 20 relations."""
-    return {
-        (letter, rel): letter_preserves(letter, rel)
-        for letter in LETTERS
-        for rel in relations.RELATION_NAMES
-    }

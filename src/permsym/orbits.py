@@ -50,6 +50,8 @@ _KEY_TYPES = tuple((TYPE_BY_ORDERS[bool(k & 8), bool(k & 4)],
 
 def constant_set(pattern, constants):
     cs = ConstantSet(pattern, frozenset(constants))
+    if len(cs.constants) != len(constants):
+        raise ValueError("constants must be distinct points")
     for c in cs.constants:
         if not 0 <= c < pattern.n:
             raise ValueError("constant %r out of range for size %d" % (c, pattern.n))

@@ -13,10 +13,7 @@ from functools import lru_cache
 
 from . import relations
 from .lattice import enumerate_lattice
-# letter_preserves and letter_matrix are re-exported because
-# perfbench/replay.py patches and times them here by name, until the
-# benchmark reads the program's own counters (ROADMAP item 3).
-from .letters import letter_witness, letter_preserves, letter_matrix  # noqa: F401
+from .letters import letter_witness
 
 PreservationRow = namedtuple("PreservationRow", ["label", "bits"])
 TableResult = namedtuple("TableResult", ["rows", "witnesses"])

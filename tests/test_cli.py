@@ -347,9 +347,12 @@ _PATTERNS_123 = '"source_pattern": "123", "image_pattern": "123"'
      "source_pattern must be a string"),
     ('{"source_pattern": "123", "image_pattern": [1, 2, 3], "map": [[1, 1]]}',
      "image_pattern must be a string"),
+    ('{%s, "map": [[1, 1]], "constants": [2, 2]}' % _PATTERNS_123,
+     "constants must be distinct points"),
 ], ids=["missing-key", "not-an-object", "source-out-of-range",
         "repeated-source", "float-constant", "float-source", "bool-source",
-        "string-image", "missing-file", "number-pattern", "list-pattern"])
+        "string-image", "missing-file", "number-pattern", "list-pattern",
+        "repeated-constant"])
 def test_check_canonical_rejects_bad_input(capsys, monkeypatch, tmp_path,
                                            text, message):
     path = str(tmp_path / "missing.json")
@@ -415,6 +418,11 @@ def test_usage_errors(capsys):
     assert _run(capsys, "orbits", "--pattern", "10")[0] == 2
     assert _run(capsys, "orbits", "--pattern", "213", "--constants", "0")[0] == 2
     assert _run(capsys, "orbits", "--pattern", "213", "--constants", "\u0662")[0] == 2
+    # an empty or repeated point is an error, not dropped or merged
+    for constants in ("1,,3", ",", "2,2"):
+        code, out, err = _run(capsys, "orbits", "--pattern", "213",
+                              "--constants", constants)
+        assert (code, out, err.count("\n")) == (2, "", 1), constants
     assert _run(capsys, "ramsey", "--delta", "12", "--gamma", "1")[0] == 2
 
 

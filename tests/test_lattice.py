@@ -4,10 +4,10 @@ import pytest
 
 from permsym.lattice import (
     LETTERS, FULL,
-    closure, closure_trace, minimal_label, enumerate_lattice, by_label,
+    closure, closure_trace, minimal_label, enumerate_lattice,
     find, join, meet, hasse, export_dot,
 )
-from permsym.letters import letter_preserves
+from permsym.letters import letter_witness
 from permsym.preservation import full_table
 from permsym.relations import RELATION_NAMES
 from lattice_expectations import EXPECTED_MEMBERS, LABELS_BY_MASK, PROPER_LABELS
@@ -27,7 +27,7 @@ def test_lattice_count_and_order():
 
 
 def test_member_sets_frozen():
-    table = by_label()
+    table = {x.name: x for x in enumerate_lattice()}
     assert set(table) == set(EXPECTED_MEMBERS)
     for label, letters in EXPECTED_MEMBERS.items():
         assert table[label].members == frozenset(letters), label
@@ -56,9 +56,9 @@ def test_closure_keeps_every_shared_invariant():
     # A letter that breaks a relation all of s preserves is outside s's group.
     for s in _subsets(LETTERS):
         shared = [rel for rel in RELATION_NAMES
-                  if all(letter_preserves(x, rel) for x in s)]
+                  if all(letter_witness(x, rel) is None for x in s)]
         for x in closure(s):
-            assert all(letter_preserves(x, rel) for rel in shared), (s, x)
+            assert all(letter_witness(x, rel) is None for rel in shared), (s, x)
 
 
 def test_closure_contains_sound_lower_bound():
@@ -87,7 +87,7 @@ def test_closure_traces(start, expect, preserves):
     assert kept == preserves
     # the preserved relations decide the closure
     assert members == {x for x in LETTERS
-                       if all(letter_preserves(x, rel) for rel in kept)}
+                       if all(letter_witness(x, rel) is None for rel in kept)}
 
 
 def test_minimal_label_examples():
@@ -122,21 +122,26 @@ def test_minimal_label_is_minimal():
 
 def test_find_and_errors():
     assert find("bf").members == frozenset("bdf")
-    with pytest.raises(ValueError):
-        find("zz")
-    with pytest.raises(ValueError):
-        find("ba")  # canonical spelling is "ab"
+    # "ba" is not a label: the canonical spelling is "ab"
+    for bad in ("zz", "", "ba"):
+        with pytest.raises(ValueError, match="unknown group label"):
+            find(bad)
+
+
+def test_find_agrees_with_minimal_label():
+    for x in enumerate_lattice():
+        assert find(x.name) == x
+        assert minimal_label(x.members) == x.name
 
 
 def test_join_meet_examples():
-    table = by_label()
-    assert join(table["a"], table["j"]).name == "aj"
-    assert join(table["b"], table["d"]).name == "bd"
-    assert join(table["c"], table["i"]).name == "ci"
-    assert join(table["f"], table["b"]).name == "bf"
-    assert meet(table["ac"], table["e"]).name == "e"
-    assert meet(table["af"], table["bh"]).name == "h"
-    assert meet(table["i"], table["j"]).name == "bottom"
+    assert join(find("a"), find("j")).name == "aj"
+    assert join(find("b"), find("d")).name == "bd"
+    assert join(find("c"), find("i")).name == "ci"
+    assert join(find("f"), find("b")).name == "bf"
+    assert meet(find("ac"), find("e")).name == "e"
+    assert meet(find("af"), find("bh")).name == "h"
+    assert meet(find("i"), find("j")).name == "bottom"
 
 
 def test_lattice_is_closed_under_join_and_meet():
@@ -179,10 +184,9 @@ def test_hasse_shape():
 
 
 def test_hasse_edges_are_covers():
-    table = by_label()
     members = [x.members for x in enumerate_lattice()]
     for low, high in hasse():
-        a, b = table[low].members, table[high].members
+        a, b = find(low).members, find(high).members
         assert a < b
         assert not any(a < m < b for m in members)
 

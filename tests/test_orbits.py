@@ -30,6 +30,8 @@ def test_constant_set_validation():
     assert constant_set(p, [1]).constants == frozenset({1})
     with pytest.raises(ValueError):
         constant_set(p, [3])
+    with pytest.raises(ValueError, match="distinct"):
+        constant_set(p, [1, 1])
 
 
 def test_cell_of_examples():

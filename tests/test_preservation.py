@@ -8,8 +8,7 @@ from permsym.generators import (
 )
 from permsym.lattice import LETTERS, closure, enumerate_lattice, minimal_label
 from permsym.letters import (
-    Witness, letter_moves, letter_preserves,
-    letter_matrix, letter_witness, _scramble, _space,
+    Witness, letter_moves, letter_witness, _scramble, _space,
 )
 from permsym.preservation import (
     CellDiff, PreservationRow, find_witness,
@@ -30,10 +29,10 @@ def _names(bits):
 
 
 def test_letter_rows_match_golden():
-    matrix = letter_matrix()
     _, golden = golden_table()
     for letter in LETTERS:
-        bits = tuple(matrix[(letter, rel)] for rel in relations.RELATION_NAMES)
+        bits = tuple(letter_witness(letter, rel) is None
+                     for rel in relations.RELATION_NAMES)
         assert bits == golden[letter], letter
 
 
@@ -50,20 +49,15 @@ def test_letter_moves_cover_cuts():
         letter_moves("z", 3)
 
 
-@pytest.mark.parametrize("bad", ["", "ij", "A", "k"])
+@pytest.mark.parametrize("bad", ["", "ij", "A", "k", "z"])
 def test_letters_are_checked_by_equality(bad):
     # one of the ten letters, not any substring of "abcdefghij"
     with pytest.raises(ValueError, match="unknown letter"):
         letter_witness(bad, "lt2")
     with pytest.raises(ValueError, match="unknown letter"):
         letter_moves(bad, 2)
-
-
-def test_letter_preserves_validation():
-    with pytest.raises(ValueError):
-        letter_preserves("z", "lt1")
-    with pytest.raises(ValueError):
-        letter_preserves("a", "nope")
+    with pytest.raises(ValueError, match="unknown relation"):
+        letter_witness("a", "nope")
 
 
 @pytest.mark.parametrize("g,rel,expect", [
@@ -73,7 +67,7 @@ def test_letter_preserves_validation():
     (SW, "dow", False),
 ])
 def test_generator_preserves_examples(g, rel, expect):
-    assert letter_preserves(move_letter(generator_to_text(g)), rel) is expect
+    assert (letter_witness(move_letter(generator_to_text(g)), rel) is None) is expect
 
 
 def _steps(letter, rel, n, before, after):
@@ -86,7 +80,7 @@ def test_backward_direction_agrees_for_involutions():
     for letter in "acef":  # rev2, rev1, revrev, sw
         for rel in relations.RELATION_NAMES:
             bwd = not any(_steps(letter, rel, 4, False, True))
-            assert letter_preserves(letter, rel) == bwd, (letter, rel)
+            assert (letter_witness(letter, rel) is None) == bwd, (letter, rel)
 
 
 def test_backward_direction_agrees_for_turn_family():
@@ -94,7 +88,7 @@ def test_backward_direction_agrees_for_turn_family():
     letter = "d"
     for rel in relations.RELATION_NAMES:
         bwd = not any(_steps(letter, rel, 4, False, True))
-        assert letter_preserves(letter, rel) == bwd, rel
+        assert (letter_witness(letter, rel) is None) == bwd, rel
 
 
 def test_letter_preserves_is_local():
@@ -104,7 +98,7 @@ def test_letter_preserves_is_local():
             n = relations.arity(rel) + 1
             if letter in "ij":
                 n = min(n, 4)
-            assert letter_preserves(letter, rel) == (
+            assert (letter_witness(letter, rel) is None) == (
                 not any(_steps(letter, rel, n, True, False))), (letter, rel)
 
 
