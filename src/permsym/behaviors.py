@@ -9,9 +9,7 @@ class and are labelled by collapse order and sense instead.
 """
 
 from collections import namedtuple
-from functools import lru_cache
 from itertools import combinations
-from types import MappingProxyType
 
 from .patterns import T1, T2, T3, T4, Behavior, extend, pair_type, Pattern
 from .generators import TURN_KINDS, apply_word
@@ -79,18 +77,14 @@ def classify(b):
     return BehaviorClass("diagonal", None, order, sense)
 
 
-@lru_cache(maxsize=1)
 def named_group_table():
-    """Composition table of the 8 named behaviors: (row, col) -> col after row.
-
-    Built once and shared, so it is handed out read-only.
-    """
+    """Composition table of the 8 named behaviors: (row, col) -> col after row."""
     table = {}
     for n1 in NAMED_ORDER:
         for n2 in NAMED_ORDER:
             product = compose(NAMED_BEHAVIORS[n1], NAMED_BEHAVIORS[n2])
             table[(n1, n2)] = BEHAVIOR_NAMES[product]
-    return MappingProxyType(table)
+    return table
 
 
 def generated_subgroup(names):

@@ -108,13 +108,8 @@ def generator_from_text(text):
         return GeneratorId(text, None)
     if "@" in text:
         kind, _, cut = text.partition("@")
-        if kind in TURN_KINDS:
-            try:
-                k = int(cut)
-            except ValueError:
-                k = -1
-            if k >= 0:
-                return GeneratorId(kind, k)
+        if kind in TURN_KINDS and cut.isascii() and cut.isdigit():
+            return GeneratorId(kind, int(cut))
     raise ValueError("unknown generator: %r" % (text,))
 
 

@@ -36,7 +36,7 @@ def _preserved_masks():
 def _check_letters(s):
     bad = set(s) - FULL
     if bad:
-        raise ValueError("unknown letters: %s" % ",".join(sorted(bad)))
+        raise ValueError("unknown letters: %s" % ", ".join(map(repr, sorted(bad))))
     return frozenset(s)
 
 

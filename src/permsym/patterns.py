@@ -44,36 +44,25 @@ def extend(b):
     }
 
 
-class Pattern:
+class Pattern(namedtuple("Pattern", ["ranks"])):
     """An immutable pattern, hashable and totally ordered by rank sequence."""
 
-    __slots__ = ("ranks",)
+    __slots__ = ()
 
-    def __init__(self, ranks):
+    def __new__(cls, ranks):
         ranks = tuple(ranks)
         if sorted(ranks) != list(range(len(ranks))):
             raise ValueError("ranks must be a permutation of range(n): %r" % (ranks,))
-        object.__setattr__(self, "ranks", ranks)
+        return tuple.__new__(cls, (ranks,))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Pattern is immutable")
-
-    def __reduce__(self):
-        """Copy and pickle rebuild through the constructor; __setattr__ is blocked."""
-        return Pattern, (self.ranks,)
+    @classmethod
+    def _make(cls, fields):
+        """Rebuild through the constructor, so _replace validates too."""
+        return cls(*fields)
 
     @property
     def n(self):
         return len(self.ranks)
-
-    def __eq__(self, other):
-        return isinstance(other, Pattern) and self.ranks == other.ranks
-
-    def __hash__(self):
-        return hash(self.ranks)
-
-    def __lt__(self, other):
-        return self.ranks < other.ranks
 
     def __repr__(self):
         return "Pattern(%r)" % (pattern_to_text(self),)

@@ -79,7 +79,11 @@ def test_closure_json(capsys):
 def test_closure_rejects_unknown_letters(capsys):
     code, _, err = _run(capsys, "closure", "xyz")
     assert code == 2
-    assert "unknown letters" in err
+    assert err == "error: unknown letters: 'x', 'y', 'z'\n"
+    # a blank is named visibly
+    code, _, err = _run(capsys, "closure", "a b")
+    assert code == 2
+    assert err == "error: unknown letters: ' '\n"
 
 
 def test_classify_text(capsys):

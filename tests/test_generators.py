@@ -132,7 +132,10 @@ def test_word_text_round_trip():
     assert generator_to_text(REVREV) == "revrev"
 
 
-@pytest.mark.parametrize("bad", ["bogus", "t1", "t1@", "t1@-1", "t3@1", "rev"])
+@pytest.mark.parametrize("bad", [
+    "bogus", "t1", "t1@", "t1@-1", "t3@1", "rev",
+    # int() reads these, but only ASCII digits are a cut
+    "t1@1_0", "t1@+2", "t1@-0", "t1@ 2", "t2@\u0662", "t1@\uff12"])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         generator_from_text(bad)

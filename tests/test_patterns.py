@@ -60,6 +60,11 @@ def test_pattern_validates():
         Pattern((0, 2))
     with pytest.raises(ValueError):
         Pattern((0, 0))
+    # the namedtuple's own rebuilders go through the constructor
+    with pytest.raises(ValueError):
+        Pattern((0, 1))._replace(ranks=(0, 0))
+    with pytest.raises(ValueError):
+        Pattern._make([(1, 1)])
 
 
 def test_pattern_immutable():
@@ -69,7 +74,7 @@ def test_pattern_immutable():
 
 
 def test_pattern_survives_copy_and_pickle():
-    # restoring goes through the constructor, not the blocked __setattr__
+    # copy and pickle rebuild a Pattern through its validating constructor
     for value in (pattern_from_text("231"), letter_witness("d", "r1")):
         assert copy.copy(value) == value
         assert copy.deepcopy(value) == value

@@ -1,14 +1,14 @@
 import pytest
 
 from permsym import relations
-from permsym.patterns import pattern_to_text, enumerate_patterns
+from permsym.patterns import enumerate_patterns
 from permsym.generators import (
     REV2, REVREV, SW, turn_first, turn_second, generator_to_text,
     word_from_text, word_to_text,
 )
 from permsym.lattice import LETTERS, closure, enumerate_lattice, minimal_label
 from permsym.letters import (
-    Witness, letter_moves, letter_witness, _scramble, _space,
+    Witness, letter_moves, letter_witness, _move_tables, _space,
 )
 from permsym.preservation import (
     CellDiff, PreservationRow, find_witness,
@@ -237,16 +237,16 @@ def test_load_golden_rejects(tmp_path, body):
 
 
 def test_scramble_matches_replayed_move():
-    # _scramble gives each scramble move's mapping on the k-types of the scan
+    # every letter's move table, scrambles included, gives each move's
+    # image and mapping on the k-types of the scan
     for n in range(5):
         pats, index, _, _ = _space(n)
-        for letter in "ij":
-            for target in pats:
-                text = "%s@%s" % (letter, pattern_to_text(target))
-                maps = _scramble(letter, index[target.ranks], n)
+        for letter in LETTERS:
+            for text, (images, maps) in _move_tables(letter, n):
                 for p in pats:
+                    k = index[p.ranks]
                     assert replay_move(text, p) \
-                        == (target, pats[maps[index[p.ranks]]].ranks), (text, p)
+                        == (pats[images[k]], pats[maps[k]].ranks), (text, p)
 
 
 def test_letter_witness_matches_move_by_move_scan():
