@@ -10,6 +10,7 @@ asked for a witness, failed check), 2 usage error or bad input.
 """
 
 import argparse
+import functools
 import importlib
 import os
 import sys
@@ -77,63 +78,61 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "%s: error: %s\n" % (self.prog, message))
 
 
+@functools.lru_cache(maxsize=1)
 def _parser():
     ap = _Parser(
         prog="permsym",
         description="Verify the symmetry-group classification of two-order patterns.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("table", help="compute the preservation table")
-    p.set_defaults(run=_cmd_table)
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("table", _cmd_table, "compute the preservation table")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--diff", action="store_true",
                    help="report cells differing from the published table")
     p.add_argument("--golden", metavar="FILE",
                    help="alternative golden table CSV")
 
-    p = sub.add_parser("lattice", help="enumerate the 39 closed groups")
-    p.set_defaults(run=_cmd_lattice)
+    p = command("lattice", _cmd_lattice, "enumerate the 39 closed groups")
     p.add_argument("--format", choices=("json", "dot", "text"), default="json")
     p.add_argument("--count-only", action="store_true")
 
-    p = sub.add_parser("closure", help="close a letter set under its invariants")
-    p.set_defaults(run=_cmd_closure)
+    p = command("closure", _cmd_closure, "close a letter set under its invariants")
     p.add_argument("letters", help="letter set, e.g. abf")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("classify", help="classify a pair behavior")
-    p.set_defaults(run=_cmd_classify)
+    p = command("classify", _cmd_classify, "classify a pair behavior")
     p.add_argument("--behavior", type=_behavior, required=True,
                    metavar="T,T", help="images of the two pair types, e.g. t1,t2")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("witness", help="show a violating move word for a cell")
-    p.set_defaults(run=_cmd_witness)
+    p = command("witness", _cmd_witness, "show a violating move word for a cell")
     p.add_argument("label", help="group label, e.g. e")
     p.add_argument("relation", help="relation name, e.g. cyc1")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("orbits", help="orbit cells relative to constants")
-    p.set_defaults(run=_cmd_orbits)
+    p = command("orbits", _cmd_orbits, "orbit cells relative to constants")
     p.add_argument("--pattern", type=_pattern, required=True)
     p.add_argument("--constants", type=_points, default=[],
                    metavar="LIST", help="1-based point list, e.g. 2,3")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("check-canonical",
-                       help="behavior report for a sampled map (JSON file or '-')")
-    p.set_defaults(run=_cmd_check_canonical)
+    p = command("check-canonical", _cmd_check_canonical,
+                "behavior report for a sampled map (JSON file or '-')")
     p.add_argument("sample", help="JSON file with source_pattern, image_pattern, map, constants")
 
-    p = sub.add_parser("ramsey", help="exhaustive Ramsey check on a host")
-    p.set_defaults(run=_cmd_ramsey)
+    p = command("ramsey", _cmd_ramsey, "exhaustive Ramsey check on a host")
     p.add_argument("--delta", type=_pattern, required=True)
     p.add_argument("--gamma", type=_pattern, required=True)
     p.add_argument("--omega", type=_pattern, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("ramsey-search", help="smallest host passing the Ramsey check")
-    p.set_defaults(run=_cmd_ramsey_search)
+    p = command("ramsey-search", _cmd_ramsey_search,
+                "smallest host passing the Ramsey check")
     p.add_argument("--gamma", type=_pattern, required=True)
     p.add_argument("--omega", type=_pattern, required=True)
     p.add_argument("--max-n", type=int, default=4)
@@ -155,13 +154,23 @@ def run(argv):
         return 2
 
 
+def _show(args, report, lines, indent=2):
+    """Print the JSON report or the text lines, as --format asks."""
+    if args.format == "json":
+        print(json.dumps(report, indent=indent))
+    else:
+        print("\n".join(lines))
+
+
+def _point_list(points, sep=","):
+    """1-based text of 0-based points, e.g. "p1,p3"."""
+    return sep.join("p%d" % (p + 1) for p in points)
+
+
 def _table_order(rows):
     order, _ = preservation.golden_table()
     by_label = {row.label: row for row in rows}
-    out = [by_label["bottom"]]
-    out.extend(by_label[label] for label in order)
-    out.append(by_label["sym"])
-    return out
+    return [by_label[label] for label in ("bottom",) + order + ("sym",)]
 
 
 def _cmd_table(args):
@@ -172,27 +181,21 @@ def _cmd_table(args):
     rows = _table_order(result.rows)
     if args.diff:
         diffs = preservation.diff_golden(result.rows, golden)
-        if args.format == "json":
-            print(json.dumps({"mismatches": [d._asdict() for d in diffs]}, indent=2))
-        else:
-            print("%d mismatches" % len(diffs))
-            for d in diffs:
-                print("  %s %s: golden=%s computed=%s"
-                      % (d.label, d.relation, int(d.golden),
-                         "missing" if d.computed is None else int(d.computed)))
+        _show(args, {"mismatches": [d._asdict() for d in diffs]},
+              ["%d mismatches" % len(diffs)] + [
+                  "  %s %s: golden=%s computed=%s"
+                  % (d.label, d.relation, int(d.golden),
+                     "missing" if d.computed is None else int(d.computed))
+                  for d in diffs])
         return 1 if diffs else 0
-    if args.format == "json":
-        print(json.dumps({
-            "rows": [
-                {"label": row.label,
-                 "bits": {rel: bit for rel, bit in
-                          zip(relations.RELATION_NAMES, row.bits)}}
-                for row in rows],
-        }, indent=2))
-    else:
-        print("label," + ",".join(relations.RELATION_NAMES))
-        for row in rows:
-            print(row.label + "," + ",".join(str(int(b)) for b in row.bits))
+    _show(args, {
+        "rows": [
+            {"label": row.label,
+             "bits": {rel: bit for rel, bit in
+                      zip(relations.RELATION_NAMES, row.bits)}}
+            for row in rows],
+    }, ["label," + ",".join(relations.RELATION_NAMES)] + [
+        row.label + "," + ",".join(str(int(b)) for b in row.bits) for row in rows])
     return 0
 
 
@@ -204,45 +207,37 @@ def _cmd_lattice(args):
     if args.format == "dot":
         sys.stdout.write(lattice.export_dot())
         return 0
-    if args.format == "text":
-        for x in elements:
-            print("%s: %s" % (x.name, "".join(sorted(x.members)) or "-"))
-        return 0
-    print(json.dumps({
+    _show(args, {
         "count": len(elements),
         "elements": [
             {"label": x.name, "members": "".join(sorted(x.members))}
             for x in elements],
         "covers": [[low, high] for low, high in lattice.hasse()],
-    }, indent=2))
+    }, ["%s: %s" % (x.name, "".join(sorted(x.members)) or "-") for x in elements])
     return 0
 
 
 def _cmd_closure(args):
     members, kept = lattice.closure_trace(set(args.letters))
+    letters = "".join(sorted(set(args.letters)))
+    closed = "".join(sorted(members))
     label = lattice.minimal_label(members)
-    if args.format == "json":
-        print(json.dumps({
-            "input": "".join(sorted(set(args.letters))),
-            "members": "".join(sorted(members)),
-            "label": label,
-            "preserves": list(kept),
-        }, indent=2))
-        return 0
-    print("input: %s" % ("".join(sorted(set(args.letters))) or "-"))
-    print("preserves: %s" % (",".join(kept) or "-"))
-    print("closed: %s" % ("".join(sorted(members)) or "-"))
-    print("label: %s" % label)
+    _show(args, {
+        "input": letters,
+        "members": closed,
+        "label": label,
+        "preserves": list(kept),
+    }, ["input: %s" % (letters or "-"),
+        "preserves: %s" % (",".join(kept) or "-"),
+        "closed: %s" % (closed or "-"),
+        "label: %s" % label])
     return 0
 
 
 def _cmd_classify(args):
     bc = behaviors.classify(args.behavior)
     detail = bc.name if bc.kind == "named" else "order %d, %s" % (bc.order, bc.sense)
-    if args.format == "json":
-        print(json.dumps({"class": bc.kind, "detail": detail}, indent=2))
-    else:
-        print("%s: %s" % (bc.kind, detail))
+    _show(args, {"class": bc.kind, "detail": detail}, ["%s: %s" % (bc.kind, detail)])
     return 0
 
 
@@ -251,25 +246,23 @@ def _cmd_witness(args):
     rel = args.relation
     w = preservation.find_witness(element.members, rel)
     if w is None:
-        print("%s preserves %s at every size; no witness exists" % (args.label, rel))
+        _show(args, {"label": args.label, "relation": rel, "word": None},
+              ["%s preserves %s at every size; no witness exists" % (args.label, rel)])
         return 1
-    if args.format == "json":
-        print(json.dumps({
-            "label": args.label,
-            "relation": w.relation,
-            "pattern": pattern_to_text(w.pattern),
-            "points": [x + 1 for x in w.points],
-            "word": list(w.moves),
-            "image_pattern": pattern_to_text(w.image_pattern),
-            "image_points": [x + 1 for x in w.image_points],
-        }, indent=2))
-        return 0
-    print("relation: %s" % w.relation)
-    print("pattern: %s" % pattern_to_text(w.pattern))
-    print("points: %s" % ",".join("p%d" % (x + 1) for x in w.points))
-    print("word: %s" % " ; ".join(w.moves))
-    print("image pattern: %s" % pattern_to_text(w.image_pattern))
-    print("image points: %s" % ",".join("p%d" % (x + 1) for x in w.image_points))
+    _show(args, {
+        "label": args.label,
+        "relation": w.relation,
+        "pattern": pattern_to_text(w.pattern),
+        "points": [x + 1 for x in w.points],
+        "word": list(w.moves),
+        "image_pattern": pattern_to_text(w.image_pattern),
+        "image_points": [x + 1 for x in w.image_points],
+    }, ["relation: %s" % w.relation,
+        "pattern: %s" % pattern_to_text(w.pattern),
+        "points: %s" % _point_list(w.points),
+        "word: %s" % " ; ".join(w.moves),
+        "image pattern: %s" % pattern_to_text(w.image_pattern),
+        "image points: %s" % _point_list(w.image_points)])
     return 0
 
 
@@ -278,23 +271,17 @@ def _cmd_orbits(args):
         _sample_point(c, args.pattern.n, "constant") for c in args.constants])
     table = orbits.cells_of(cs)
     ordered = sorted(table)
-    if args.format == "json":
-        print(json.dumps({
-            "pattern": pattern_to_text(args.pattern),
-            "constants": sorted(c + 1 for c in cs.constants),
-            "cells": [
-                {"row": cell.row, "col": cell.col,
-                 "points": [p + 1 for p in table[cell]]}
-                for cell in ordered],
-        }, indent=2))
-        return 0
-    print("pattern: %s" % pattern_to_text(args.pattern))
-    print("constants: %s"
-          % (",".join("p%d" % (c + 1) for c in sorted(cs.constants)) or "-"))
-    for cell in ordered:
-        print("cell (%d,%d): %s"
-              % (cell.row, cell.col,
-                 " ".join("p%d" % (p + 1) for p in table[cell])))
+    _show(args, {
+        "pattern": pattern_to_text(args.pattern),
+        "constants": sorted(c + 1 for c in cs.constants),
+        "cells": [
+            {"row": cell.row, "col": cell.col,
+             "points": [p + 1 for p in table[cell]]}
+            for cell in ordered],
+    }, ["pattern: %s" % pattern_to_text(args.pattern),
+        "constants: %s" % (_point_list(sorted(cs.constants)) or "-")] + [
+        "cell (%d,%d): %s" % (cell.row, cell.col, _point_list(table[cell], " "))
+        for cell in ordered])
     return 0
 
 
@@ -342,65 +329,52 @@ def _load_sample(path):
     return orbits.constant_set(source, constants), orbits.Sample(source, image, mapping)
 
 
-def _report_cell(report):
-    out = {
-        "observed": {TYPE_NAMES[s]: TYPE_NAMES[d] for s, d in
-                     sorted(report.observed.items())},
-        "behaviors": [_behavior_text(b) for b in report.behaviors],
-        "consistent": report.consistent,
-        "counterexample": None,
-    }
+def _report_entry(entry, report):
+    """A check-canonical cell or cell-pair entry, completed by its report."""
+    entry.update(
+        observed={TYPE_NAMES[s]: TYPE_NAMES[d] for s, d in
+                  sorted(report.observed.items())},
+        behaviors=[_behavior_text(b) for b in report.behaviors],
+        consistent=report.consistent,
+        counterexample=None)
     if report.counterexample:
         (a, b), (c, d) = report.counterexample
-        out["counterexample"] = [[a + 1, b + 1], [c + 1, d + 1]]
-    return out
+        entry["counterexample"] = [[a + 1, b + 1], [c + 1, d + 1]]
+    return entry
 
 
 def _cmd_check_canonical(args):
     cs, sample = _load_sample(args.sample)
     report = orbits.check_canonical(cs, sample)
-    cells = []
-    for cell in sorted(report.cells):
-        entry = {"row": cell.row, "col": cell.col,
-                 "points": [p + 1 for p in report.cells[cell].points]}
-        entry.update(_report_cell(report.cells[cell]))
-        cells.append(entry)
-    pairs = []
-    for ca, cb in sorted(report.cell_pairs):
-        rep = report.cell_pairs[(ca, cb)]
-        entry = {"cells": [[ca.row, ca.col], [cb.row, cb.col]],
-                 "points": [[p + 1 for p in rep.points[0]],
-                            [p + 1 for p in rep.points[1]]]}
-        entry.update(_report_cell(rep))
-        pairs.append(entry)
     print(json.dumps({
         "canonical": report.canonical,
         "mixed": report.mixed,
-        "cells": cells,
-        "cell_pairs": pairs,
+        "cells": [
+            _report_entry({"row": cell.row, "col": cell.col,
+                           "points": [p + 1 for p in rep.points]}, rep)
+            for cell, rep in sorted(report.cells.items())],
+        "cell_pairs": [
+            _report_entry({"cells": [[ca.row, ca.col], [cb.row, cb.col]],
+                           "points": [[p + 1 for p in part] for part in rep.points]}, rep)
+            for (ca, cb), rep in sorted(report.cell_pairs.items())],
     }, indent=2))
     return 0 if report.canonical else 1
 
 
 def _cmd_ramsey(args):
     result = ramsey.check_ramsey_witness(args.delta, args.gamma, args.omega)
-    if args.format == "json":
-        print(json.dumps({"result": result}))
-    else:
-        print({True: "true", False: "false"}.get(result, result))
+    _show(args, {"result": result},
+          [{True: "true", False: "false"}.get(result, result)], indent=None)
     return 0 if result is True else 1
 
 
 def _cmd_ramsey_search(args):
     result = ramsey.search_witness(args.gamma, args.omega, args.max_n)
     found = result.pattern is not None
-    if args.format == "json":
-        print(json.dumps({
-            "pattern": pattern_to_text(result.pattern) if found else None,
-            "infeasible": [pattern_to_text(p) for p in result.infeasible],
-        }))
-    else:
-        print(pattern_to_text(result.pattern) if found else "none")
+    _show(args, {
+        "pattern": pattern_to_text(result.pattern) if found else None,
+        "infeasible": [pattern_to_text(p) for p in result.infeasible],
+    }, [pattern_to_text(result.pattern) if found else "none"], indent=None)
     for p in result.infeasible:
         print("warning: host %s over budget, skipped" % pattern_to_text(p),
               file=sys.stderr)

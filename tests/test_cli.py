@@ -235,6 +235,12 @@ def test_witness_for_preserved_cell(capsys):
     assert out == "e preserves btw1 at every size; no witness exists\n"
 
 
+def test_witness_for_preserved_cell_prints_json(capsys):
+    code, out, _ = _run(capsys, "witness", "bottom", "lt1", "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {"label": "bottom", "relation": "lt1", "word": None}
+
+
 def test_size_and_word_bounds_are_gone(capsys):
     # --max-size 1 used to print an all-ones table and exit 0
     for argv in (["table", "--max-size", "1"], ["table", "--max-word", "1"],

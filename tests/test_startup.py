@@ -51,6 +51,22 @@ def test_ramsey_command_loads_no_lattice_modules():
     assert "json" not in modules
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["table"], 0), (["table", "--diff"], 1),
+    (["lattice", "--format", "text"], 0), (["lattice", "--format", "dot"], 0),
+    (["lattice", "--count-only"], 0), (["closure", "h"], 0),
+    (["classify", "--behavior", "t1,t3"], 0), (["witness", "de", "r1"], 0),
+    (["witness", "bottom", "lt1"], 1),
+    (["orbits", "--pattern", "2413", "--constants", "2"], 0),
+    (["ramsey", "--delta", "123", "--gamma", "1", "--omega", "12"], 0),
+    (["ramsey-search", "--gamma", "1", "--omega", "12"], 0),
+])
+def test_text_output_loads_no_json(argv, expected):
+    code, modules = _modules_after(argv)
+    assert code == expected
+    assert "json" not in modules
+
+
 def test_check_canonical_loads_no_behavior_modules(tmp_path):
     sample = tmp_path / "sample.json"
     sample.write_text(json.dumps({
