@@ -16,8 +16,6 @@ from .generators import TURN_KINDS, apply_word
 
 BehaviorClass = namedtuple("BehaviorClass", ["kind", "name", "order", "sense"])
 
-IDENTITY = Behavior(T1, T2)
-
 # name -> behavior, in group-element order used throughout.
 NAMED_BEHAVIORS = {
     "id": Behavior(T1, T2),
@@ -29,7 +27,6 @@ NAMED_BEHAVIORS = {
     "sw.id/rev": Behavior(T4, T1),
     "sw.rev/id": Behavior(T2, T3),
 }
-NAMED_ORDER = tuple(NAMED_BEHAVIORS)
 BEHAVIOR_NAMES = {b: name for name, b in NAMED_BEHAVIORS.items()}
 
 # The remaining 8 behaviors collapse onto a diagonal class.
@@ -80,8 +77,8 @@ def classify(b):
 def named_group_table():
     """Composition table of the 8 named behaviors: (row, col) -> col after row."""
     table = {}
-    for n1 in NAMED_ORDER:
-        for n2 in NAMED_ORDER:
+    for n1 in NAMED_BEHAVIORS:
+        for n2 in NAMED_BEHAVIORS:
             product = compose(NAMED_BEHAVIORS[n1], NAMED_BEHAVIORS[n2])
             table[(n1, n2)] = BEHAVIOR_NAMES[product]
     return table
@@ -105,6 +102,6 @@ def subgroups():
     Each subgroup is generated by its own members, so the subgroups are
     exactly the closures of the subsets of the group.
     """
-    return sorted({generated_subgroup(combo) for k in range(len(NAMED_ORDER) + 1)
-                   for combo in combinations(NAMED_ORDER, k)},
+    return sorted({generated_subgroup(combo) for k in range(len(NAMED_BEHAVIORS) + 1)
+                   for combo in combinations(NAMED_BEHAVIORS, k)},
                   key=lambda s: (len(s), sorted(s)))

@@ -303,6 +303,8 @@ def _load_sample(path):
                 data = json.load(fh)
     except OSError as exc:
         raise ValueError("cannot read sample: %s" % exc) from None
+    except (ValueError, RecursionError) as exc:
+        raise ValueError("sample is not JSON: %s" % exc) from None
     if not isinstance(data, dict):
         raise ValueError("sample must be a JSON object")
     missing = [k for k in ("source_pattern", "image_pattern", "map") if k not in data]

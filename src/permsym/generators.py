@@ -2,7 +2,7 @@
 
 A move sends a pattern to a pattern of the same size together with a
 point correspondence (``mapping[i]`` is the image point of point i).
-Kinds, with their CLI spellings:
+A move is ``GeneratorId(kind, cut)``, read from its text spelling:
 
   rev1     reverse the first order
   rev2     reverse the second order
@@ -12,7 +12,7 @@ Kinds, with their CLI spellings:
            the k highest, order kept inside each block, 0 <= k <= n
   t2@k     the same rotation on the second order
 
-Words are applied left to right; the empty word is the identity.
+A word is comma-separated text, applied left to right; "" is the identity.
 """
 
 from collections import namedtuple
@@ -23,25 +23,8 @@ GeneratorId = namedtuple("GeneratorId", ["kind", "cut"])
 # Image pattern plus the point correspondence of a move application.
 MappedTuple = namedtuple("MappedTuple", ["pattern", "mapping"])
 
-REV1 = GeneratorId("rev1", None)
-REV2 = GeneratorId("rev2", None)
-REVREV = GeneratorId("revrev", None)
-SW = GeneratorId("sw", None)
-
 PLAIN_KINDS = ("rev1", "rev2", "revrev", "sw")
 TURN_KINDS = ("t1", "t2")
-
-
-def turn_first(k):
-    if k < 0:
-        raise ValueError("cut must be nonnegative")
-    return GeneratorId("t1", k)
-
-
-def turn_second(k):
-    if k < 0:
-        raise ValueError("cut must be nonnegative")
-    return GeneratorId("t2", k)
 
 
 # The orders each order-moving kind moves: (first, second).
@@ -70,16 +53,6 @@ def apply(g, p):
     return MappedTuple(Pattern(ranks), mapping)
 
 
-def inverse(g, n):
-    """The move undoing g on patterns of size n."""
-    if g.kind in PLAIN_KINDS:
-        return g
-    if g.kind in TURN_KINDS:
-        k = _check_cut(g, n)
-        return GeneratorId(g.kind, n - k)
-    raise ValueError("unknown generator kind: %r" % (g.kind,))
-
-
 def apply_word(word, p):
     """Apply a list of moves left to right; composes the correspondences."""
     mapping = tuple(range(p.n))
@@ -89,16 +62,6 @@ def apply_word(word, p):
         current = step.pattern
         mapping = tuple(step.mapping[m] for m in mapping)
     return MappedTuple(current, mapping)
-
-
-def generator_to_text(g):
-    if g.kind in PLAIN_KINDS:
-        return g.kind
-    return "%s@%d" % (g.kind, g.cut)
-
-
-def word_to_text(word):
-    return ",".join(generator_to_text(g) for g in word)
 
 
 def generator_from_text(text):

@@ -4,10 +4,10 @@ A set S of the ten letters of ``permsym.letters`` is closed when it
 holds every letter that preserves each relation all letters of S
 preserve: the Galois closure over the letter x relation preservation
 matrix.  A closed group is described by the relations it preserves
-(Bodirsky-Pinsker, "Reducts of Ramsey structures"), so closure, join
-(the closure of a union), meet and the Hasse diagram all order groups
-by the containment the preservation table computes: one closed set lies
-inside another exactly when its table row contains the other's.
+(Bodirsky-Pinsker, "Reducts of Ramsey structures"), so closure and the
+Hasse diagram order groups by the containment the preservation table
+computes: one closed set lies inside another exactly when its table row
+contains the other's.
 Closing all 1024 subsets yields a fixed 39-element lattice; each
 element is labelled by its smallest generating subset.
 """
@@ -106,16 +106,6 @@ def find(label):
         if x.name == label:
             return x
     raise ValueError("unknown group label: %r" % (label,))
-
-
-def join(x, y):
-    members = closure(x.members | y.members)
-    return ClosedSet(members, minimal_label(members))
-
-
-def meet(x, y):
-    members = x.members & y.members
-    return ClosedSet(members, minimal_label(members))
 
 
 def hasse():

@@ -20,8 +20,7 @@ from permsym.patterns import (
     pattern_from_text, pattern_to_text, enumerate_patterns, T1, T2, T3, T4,
 )
 from permsym.generators import (
-    REV1, REV2, REVREV, SW,
-    turn_first, turn_second, apply, apply_word, inverse, word_to_text,
+    GeneratorId, TURN_KINDS, apply, apply_word, word_from_text,
 )
 from lattice_expectations import PROPER_LABELS
 from witness_oracle import points_text, replay_fault
@@ -240,10 +239,12 @@ def test_criterion_08_dihedral_facts():
             % (len(subs), inside))
 
 
+PLAIN_MOVES = word_from_text("rev1,rev2,revrev,sw")
+
+
 def _generator_pool(n):
-    pool = [REV1, REV2, REVREV, SW]
-    pool.extend(turn_first(k) for k in range(n + 1))
-    pool.extend(turn_second(k) for k in range(n + 1))
+    pool = list(PLAIN_MOVES)
+    pool.extend(GeneratorId(kind, k) for kind in TURN_KINDS for k in range(n + 1))
     return pool
 
 
@@ -253,14 +254,17 @@ def test_criterion_09_generator_laws():
         enumerate_patterns(n) for n in range(6)))
     for p in patterns:
         identity = tuple(range(p.n))
-        for g in (REV1, REV2, REVREV, SW):
+        for g in PLAIN_MOVES:
             twice = apply_word([g, g], p)
             if twice.pattern != p or twice.mapping != identity:
-                failures.append(("involution", word_to_text([g]), p))
-        for g in _generator_pool(p.n):
-            undone = apply_word([g, inverse(g, p.n)], p)
-            if undone.pattern != p or undone.mapping != identity:
-                failures.append(("inverse", word_to_text([g]), p))
+                failures.append(("involution", g, p))
+        # t1@k is undone by t1@(n-k), and t2@k by t2@(n-k)
+        for kind in TURN_KINDS:
+            for k in range(p.n + 1):
+                g = GeneratorId(kind, k)
+                undone = apply_word([g, GeneratorId(kind, p.n - k)], p)
+                if undone.pattern != p or undone.mapping != identity:
+                    failures.append(("inverse", g, p))
         for g1 in _generator_pool(p.n):
             step = apply(g1, p)
             for g2 in _generator_pool(p.n):
@@ -271,13 +275,13 @@ def test_criterion_09_generator_laws():
                     failures.append(("concatenation", (g1, g2), p))
     words = [[]]
     for k in range(1, 5):
-        words.extend(list(w) for w in product((REV1, REV2, REVREV, SW), repeat=k))
+        words.extend(list(w) for w in product(PLAIN_MOVES, repeat=k))
     for w in words:
-        folded = behaviors.IDENTITY
+        folded = behaviors.NAMED_BEHAVIORS["id"]
         for g in w:
             folded = behaviors.compose(folded, behaviors.behavior_of_word([g]))
         if folded != behaviors.behavior_of_word(w):
-            failures.append(("homomorphism", word_to_text(w), None))
+            failures.append(("homomorphism", w, None))
     _report(9, not failures,
             "involution/inverse/concatenation laws on %d patterns, "
             "homomorphism on %d words%s" % (

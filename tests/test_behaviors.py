@@ -3,9 +3,9 @@ from itertools import product
 import pytest
 
 from permsym.patterns import T1, T2, T3, T4
-from permsym.generators import REV1, REV2, REVREV, SW, turn_first
+from permsym.generators import word_from_text
 from permsym.behaviors import (
-    Behavior, NAMED_BEHAVIORS, NAMED_ORDER, IDENTITY,
+    Behavior, NAMED_BEHAVIORS,
     behavior_of_word, extend, compose, classify,
     named_group_table, generated_subgroup, subgroups,
 )
@@ -24,14 +24,14 @@ EXPECTED_NAMED = {
 
 # Word realizing each named behavior.
 REALIZING_WORDS = {
-    "id": [],
-    "id/rev": [REV2],
-    "rev/id": [REV1],
-    "rev/rev": [REVREV],
-    "sw": [SW],
-    "sw.rev/rev": [REVREV, SW],
-    "sw.id/rev": [REV2, SW],
-    "sw.rev/id": [REV1, SW],
+    "id": "",
+    "id/rev": "rev2",
+    "rev/id": "rev1",
+    "rev/rev": "revrev",
+    "sw": "sw",
+    "sw.rev/rev": "revrev,sw",
+    "sw.id/rev": "rev2,sw",
+    "sw.rev/id": "rev1,sw",
 }
 
 
@@ -41,14 +41,15 @@ def test_named_table_frozen():
 
 @pytest.mark.parametrize("name", sorted(REALIZING_WORDS))
 def test_words_realize_named_behaviors(name):
-    assert behavior_of_word(REALIZING_WORDS[name]) == NAMED_BEHAVIORS[name]
+    word = word_from_text(REALIZING_WORDS[name])
+    assert behavior_of_word(word) == NAMED_BEHAVIORS[name]
 
 
 def test_behavior_of_word_rejects_turns():
     with pytest.raises(ValueError):
-        behavior_of_word([turn_first(1)])
+        behavior_of_word(word_from_text("t1@1"))
     with pytest.raises(ValueError):
-        behavior_of_word([SW, turn_first(0)])
+        behavior_of_word(word_from_text("sw,t1@0"))
 
 
 def test_extend():
@@ -61,7 +62,7 @@ def test_extend():
 def test_compose_examples():
     idrev, revid = NAMED_BEHAVIORS["id/rev"], NAMED_BEHAVIORS["rev/id"]
     assert compose(idrev, revid) == NAMED_BEHAVIORS["rev/rev"]
-    assert compose(NAMED_BEHAVIORS["sw"], NAMED_BEHAVIORS["sw"]) == IDENTITY
+    assert compose(NAMED_BEHAVIORS["sw"], NAMED_BEHAVIORS["sw"]) == NAMED_BEHAVIORS["id"]
     rot = NAMED_BEHAVIORS["sw.id/rev"]
     assert compose(rot, rot) == NAMED_BEHAVIORS["rev/rev"]
     assert compose(compose(rot, rot), rot) == NAMED_BEHAVIORS["sw.rev/id"]
@@ -69,14 +70,14 @@ def test_compose_examples():
 
 def test_compose_rejects_collapsing():
     with pytest.raises(ValueError):
-        compose(Behavior(T1, T1), IDENTITY)
+        compose(Behavior(T1, T1), NAMED_BEHAVIORS["id"])
     with pytest.raises(ValueError):
-        compose(IDENTITY, Behavior(T3, T1))
+        compose(NAMED_BEHAVIORS["id"], Behavior(T3, T1))
 
 
 def test_word_homomorphism():
     # behavior of concatenation = composition, all turn-free words, length <= 4
-    gens = [REV1, REV2, REVREV, SW]
+    gens = word_from_text("rev1,rev2,revrev,sw")
     words = [[]]
     for k in range(1, 5):
         words.extend(list(w) for w in product(gens, repeat=k))
@@ -108,14 +109,14 @@ def test_classify_examples():
 
 def test_group_axioms():
     table = named_group_table()
-    names = set(NAMED_ORDER)
+    names = set(NAMED_BEHAVIORS)
     assert set(table.values()) <= names
     for x in names:
         assert table[("id", x)] == x
         assert table[(x, "id")] == x
         assert any(table[(x, y)] == "id" for y in names)
     # associativity
-    for x, y, z in product(NAMED_ORDER, repeat=3):
+    for x, y, z in product(NAMED_BEHAVIORS, repeat=3):
         assert table[(table[(x, y)], z)] == table[(x, table[(y, z)])]
 
 
@@ -125,7 +126,7 @@ def test_subgroup_inventory():
     assert generated_subgroup({"sw.id/rev"}) == frozenset(
         {"id", "sw.id/rev", "rev/rev", "sw.rev/id"})
     assert frozenset({"id"}) in subs
-    assert frozenset(NAMED_ORDER) in subs
+    assert frozenset(NAMED_BEHAVIORS) in subs
     by_size = {}
     for s in subs:
         by_size[len(s)] = by_size.get(len(s), 0) + 1

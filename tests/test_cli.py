@@ -359,10 +359,12 @@ _PATTERNS_123 = '"source_pattern": "123", "image_pattern": "123"'
      "image_pattern must be a string"),
     ('{%s, "map": [[1, 1]], "constants": [2, 2]}' % _PATTERNS_123,
      "constants must be distinct points"),
+    ("", "sample is not JSON"),
+    ("[" * 100000, "sample is not JSON"),
 ], ids=["missing-key", "not-an-object", "source-out-of-range",
         "repeated-source", "float-constant", "float-source", "bool-source",
         "string-image", "missing-file", "number-pattern", "list-pattern",
-        "repeated-constant"])
+        "repeated-constant", "empty", "deep-nesting"])
 def test_check_canonical_rejects_bad_input(capsys, monkeypatch, tmp_path,
                                            text, message):
     path = str(tmp_path / "missing.json")

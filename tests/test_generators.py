@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from permsym.patterns import Pattern, pattern_from_text, pattern_to_text, from_points
 from permsym.generators import (
-    GeneratorId, REV1, REV2, REVREV, SW, turn_first, turn_second,
-    apply, inverse, apply_word, generator_from_text, generator_to_text,
-    word_from_text, word_to_text,
+    GeneratorId, TURN_KINDS,
+    apply, apply_word, generator_from_text, word_from_text,
 )
+
+PLAIN_MOVES = word_from_text("rev1,rev2,revrev,sw")
 
 perms = st.integers(min_value=0, max_value=5).flatmap(
     lambda n: st.permutations(list(range(n))))
@@ -36,11 +37,11 @@ def test_move_images(text, expected):
 
 def test_mappings():
     p = pattern_from_text("231")
-    assert apply(REV1, p).mapping == (2, 1, 0)
-    assert apply(REV2, p).mapping == (0, 1, 2)
-    assert apply(SW, p).mapping == (1, 2, 0)
-    assert apply(turn_first(1), p).mapping == (2, 0, 1)
-    assert apply(turn_second(2), p).mapping == (0, 1, 2)
+    assert apply(GeneratorId("rev1", None), p).mapping == (2, 1, 0)
+    assert apply(GeneratorId("rev2", None), p).mapping == (0, 1, 2)
+    assert apply(GeneratorId("sw", None), p).mapping == (1, 2, 0)
+    assert apply(GeneratorId("t1", 1), p).mapping == (2, 0, 1)
+    assert apply(GeneratorId("t2", 2), p).mapping == (0, 1, 2)
 
 
 # Geometric oracle: each plain move is a coordinate transformation of any
@@ -68,7 +69,7 @@ def test_turn_blocks(ranks, k):
     p = Pattern(ranks)
     n = p.n
     k = min(k, n)
-    mapping = apply(turn_first(k), p).mapping
+    mapping = apply(GeneratorId("t1", k), p).mapping
     for i in range(n):
         for j in range(i + 1, n):
             same_block = (i < k) == (j < k)
@@ -77,9 +78,9 @@ def test_turn_blocks(ranks, k):
 
 def test_apply_word_chains_mappings():
     p = pattern_from_text("231")
-    step1 = apply(SW, p)
-    step2 = apply(REV1, step1.pattern)
-    combined = apply_word([SW, REV1], p)
+    step1 = apply(GeneratorId("sw", None), p)
+    step2 = apply(GeneratorId("rev1", None), step1.pattern)
+    combined = apply_word(word_from_text("sw,rev1"), p)
     assert combined.pattern == step2.pattern
     assert combined.mapping == tuple(step2.mapping[m] for m in step1.mapping)
     empty = apply_word([], p)
@@ -90,46 +91,37 @@ def test_apply_word_chains_mappings():
 def test_inverses_cancel(ranks):
     p = Pattern(ranks)
     n = p.n
-    moves = [REV1, REV2, REVREV, SW]
-    moves += [turn_first(k) for k in range(n + 1)]
-    moves += [turn_second(k) for k in range(n + 1)]
-    for g in moves:
-        roundtrip = apply_word([g, inverse(g, n)], p)
+    # A plain move undoes itself; t1@k is undone by t1@(n-k), t2 alike.
+    pairs = [(g, g) for g in PLAIN_MOVES]
+    pairs += [(GeneratorId(kind, k), GeneratorId(kind, n - k))
+              for kind in TURN_KINDS for k in range(n + 1)]
+    for g, back in pairs:
+        roundtrip = apply_word([g, back], p)
         assert roundtrip.pattern == p
         assert roundtrip.mapping == tuple(range(n))
-
-
-def test_inverse_values():
-    assert inverse(REV1, 4) == REV1
-    assert inverse(SW, 4) == SW
-    assert inverse(turn_first(1), 4) == turn_first(3)
-    assert inverse(turn_second(0), 4) == turn_second(4)
-    with pytest.raises(ValueError):
-        inverse(turn_first(5), 4)
 
 
 def test_turn_edge_cuts_are_identity():
     for text in ["12345", "21", "4231"]:
         p = pattern_from_text(text)
-        for g in (turn_first(0), turn_first(p.n), turn_second(0), turn_second(p.n)):
+        for g in (GeneratorId(kind, k) for kind in TURN_KINDS for k in (0, p.n)):
             assert apply(g, p).pattern == p
 
 
 def test_cut_validation():
     p = pattern_from_text("12")
     with pytest.raises(ValueError):
-        apply(turn_first(3), p)
+        apply(GeneratorId("t1", 3), p)
     with pytest.raises(ValueError):
-        turn_first(-1)
+        apply(GeneratorId("t1", -1), p)
 
 
 def test_word_text_round_trip():
-    word = [SW, REV2, turn_first(2), turn_second(0)]
-    text = word_to_text(word)
-    assert text == "sw,rev2,t1@2,t2@0"
-    assert word_from_text(text) == word
+    assert word_from_text("sw,rev2,t1@2,t2@0") == [
+        GeneratorId("sw", None), GeneratorId("rev2", None),
+        GeneratorId("t1", 2), GeneratorId("t2", 0)]
     assert word_from_text("") == []
-    assert generator_to_text(REVREV) == "revrev"
+    assert generator_from_text("revrev") == GeneratorId("revrev", None)
 
 
 @pytest.mark.parametrize("bad", [
@@ -145,7 +137,7 @@ def test_size_five_exhaustive_involutions():
     # Plain reversal moves and sw square to the identity on every pattern.
     for ranks in permutations(range(5)):
         p = Pattern(ranks)
-        for g in (REV1, REV2, REVREV, SW):
+        for g in PLAIN_MOVES:
             twice = apply_word([g, g], p)
             assert twice.pattern == p
             assert twice.mapping == (0, 1, 2, 3, 4)

@@ -5,7 +5,7 @@ import pytest
 from permsym.lattice import (
     LETTERS, FULL,
     closure, closure_trace, minimal_label, enumerate_lattice,
-    find, join, meet, hasse, export_dot,
+    find, hasse, export_dot,
 )
 from permsym.letters import letter_witness
 from permsym.preservation import full_table
@@ -135,13 +135,15 @@ def test_find_agrees_with_minimal_label():
 
 
 def test_join_meet_examples():
-    assert join(find("a"), find("j")).name == "aj"
-    assert join(find("b"), find("d")).name == "bd"
-    assert join(find("c"), find("i")).name == "ci"
-    assert join(find("f"), find("b")).name == "bf"
-    assert meet(find("ac"), find("e")).name == "e"
-    assert meet(find("af"), find("bh")).name == "h"
-    assert meet(find("i"), find("j")).name == "bottom"
+    # join is the closure of a union; meet is the intersection, already closed
+    m = {x.name: x.members for x in enumerate_lattice()}
+    assert minimal_label(closure(m["a"] | m["j"])) == "aj"
+    assert minimal_label(closure(m["b"] | m["d"])) == "bd"
+    assert minimal_label(closure(m["c"] | m["i"])) == "ci"
+    assert minimal_label(closure(m["f"] | m["b"])) == "bf"
+    assert minimal_label(m["ac"] & m["e"]) == "e"
+    assert minimal_label(m["af"] & m["bh"]) == "h"
+    assert minimal_label(m["i"] & m["j"]) == "bottom"
 
 
 def test_lattice_is_closed_under_join_and_meet():
@@ -149,8 +151,9 @@ def test_lattice_is_closed_under_join_and_meet():
     names = {x.name for x in elements}
     for x in elements:
         for y in elements:
-            assert join(x, y).name in names
-            assert meet(x, y).name in names
+            # minimal_label raises on a set that is not closed
+            assert minimal_label(closure(x.members | y.members)) in names
+            assert minimal_label(x.members & y.members) in names
 
 
 def test_scramble_family_counts():
@@ -214,7 +217,8 @@ def test_order_join_and_covers_follow_table_rows():
         for y in elements:
             assert (x.members <= y.members) == inside(x.name, y.name), (x, y)
             both = tuple(kx and ky for kx, ky in zip(rows[x.name], rows[y.name]))
-            assert rows[join(x, y).name] == both, (x.name, y.name)
+            join = minimal_label(closure(x.members | y.members))
+            assert rows[join] == both, (x.name, y.name)
     labels = [x.name for x in elements]
     for low, high in hasse():
         assert low != high and inside(low, high)

@@ -5,19 +5,18 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from permsym.patterns import (
     Pattern, pattern_from_text, enumerate_patterns, pair_type, PAIR_TYPES, T1, T2)
-from permsym.generators import (
-    REV1, REV2, REVREV, SW, apply_word, turn_first, turn_second)
+from permsym.generators import GeneratorId, apply_word, word_from_text
 from permsym.behaviors import Behavior, NAMED_BEHAVIORS, behavior_of_word, extend
 from permsym.orbits import (
     ALL_BEHAVIORS, CellReport, OrbitCell, Report, Sample,
     constant_set, cells_of, check_canonical, _above, _observe,
 )
 
+PLAIN_MOVES = word_from_text("rev1,rev2,revrev,sw")
 WORDS = [[]]
-for g in (REV1, REV2, REVREV, SW):
+for g in PLAIN_MOVES:
     WORDS.append([g])
-WORDS.extend([g1, g2] for g1 in (REV1, REV2, REVREV, SW)
-             for g2 in (REV1, REV2, REVREV, SW))
+WORDS.extend([g1, g2] for g1 in PLAIN_MOVES for g2 in PLAIN_MOVES)
 
 
 def _word_sample(word, p):
@@ -93,7 +92,7 @@ def test_check_canonical_skips_unmapped_points():
 def test_check_canonical_of_restricted_double_reversal():
     # restriction of rev/rev to the non-constant points stays canonical
     p = pattern_from_text("2413")
-    res = apply_word([REVREV], p)
+    res = apply_word(word_from_text("revrev"), p)
     sample = Sample(p, res.pattern, {k: res.mapping[k] for k in (1, 2, 3)})
     report = check_canonical(constant_set(p, [0]), sample)
     assert report.canonical and not report.mixed
@@ -122,7 +121,7 @@ def test_check_canonical_accepts_word_restrictions():
     # Every move, mapped in full, on every pattern of size 2..6.  A plain
     # move is canonical with no constants and explained by its behavior.
     patterns = [p for n in range(2, 7) for p in enumerate_patterns(n)]
-    for g in (REV1, REV2, REVREV, SW):
+    for g in PLAIN_MOVES:
         b = behavior_of_word([g])
         for p in patterns:
             report = check_canonical(constant_set(p, []), _word_sample([g], p))
@@ -136,7 +135,8 @@ def test_check_canonical_accepts_word_restrictions():
     turns = free = 0
     for p in patterns:
         for k in range(1, p.n):
-            for g, cut in ((turn_first(k), k), (turn_second(k), p.ranks.index(k))):
+            for g, cut in ((GeneratorId("t1", k), k),
+                           (GeneratorId("t2", k), p.ranks.index(k))):
                 sample = _word_sample([g], p)
                 assert check_canonical(constant_set(p, [cut]), sample).canonical, (g, p)
                 turns += 1

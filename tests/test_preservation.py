@@ -2,10 +2,7 @@ import pytest
 
 from permsym import relations
 from permsym.patterns import enumerate_patterns
-from permsym.generators import (
-    REV2, REVREV, SW, turn_first, turn_second, generator_to_text,
-    word_from_text, word_to_text,
-)
+from permsym.generators import GeneratorId, word_from_text
 from permsym.lattice import LETTERS, closure, enumerate_lattice, minimal_label
 from permsym.letters import (
     Witness, letter_moves, letter_witness, _move_tables, _space,
@@ -39,12 +36,14 @@ def test_letter_rows_match_golden():
 def test_letter_moves_cover_cuts():
     for n in range(6):
         cuts = range(n + 1)
-        assert letter_moves("b", n) == [generator_to_text(turn_second(k)) for k in cuts]
-        assert letter_moves("d", n) == [generator_to_text(turn_first(k)) for k in cuts]
+        assert letter_moves("b", n) == ["t2@%d" % k for k in cuts]
+        assert letter_moves("d", n) == ["t1@%d" % k for k in cuts]
         # every non-scramble move is a generator word in its canonical text
         for letter in "abcdefgh":
             for text in letter_moves(letter, n):
-                assert text == word_to_text(word_from_text(text)), (letter, n, text)
+                canonical = ",".join(g.kind if g.cut is None else "%s@%d" % g
+                                     for g in word_from_text(text))
+                assert text == canonical, (letter, n, text)
     with pytest.raises(ValueError):
         letter_moves("z", 3)
 
@@ -61,13 +60,14 @@ def test_letters_are_checked_by_equality(bad):
 
 
 @pytest.mark.parametrize("g,rel,expect", [
-    (REVREV, "btw1", True),
-    (REVREV, "lt1", False),
-    (SW, "up", True),
-    (SW, "dow", False),
+    (GeneratorId("revrev", None), "btw1", True),
+    (GeneratorId("revrev", None), "lt1", False),
+    (GeneratorId("sw", None), "up", True),
+    (GeneratorId("sw", None), "dow", False),
 ])
 def test_generator_preserves_examples(g, rel, expect):
-    assert (letter_witness(move_letter(generator_to_text(g)), rel) is None) is expect
+    # a plain move's text is its kind
+    assert (letter_witness(move_letter(g.kind), rel) is None) is expect
 
 
 def _steps(letter, rel, n, before, after):
@@ -119,13 +119,12 @@ def test_letter_moves_closed_under_inverses():
 
 
 @pytest.mark.parametrize("gens,label,marked", [
-    ([REVREV], "e", ROW_E),
-    ([SW], "f", ROW_F),
-    ([REV2], "a", ROW_A),
+    (word_from_text("revrev"), "e", ROW_E),
+    (word_from_text("sw"), "f", ROW_F),
+    (word_from_text("rev2"), "a", ROW_A),
 ])
 def test_group_row_spot_checks(gens, label, marked):
-    assert minimal_label(
-        closure({move_letter(generator_to_text(g)) for g in gens})) == label
+    assert minimal_label(closure({move_letter(g.kind) for g in gens})) == label
     table = full_table()
     [row] = [row for row in table.rows if row.label == label]
     assert _names(row.bits) == marked

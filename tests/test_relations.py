@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from permsym.generators import SW, apply
+from permsym.generators import GeneratorId, apply
 from permsym.patterns import (
     Pattern, T1, T2, T3, enumerate_patterns, pattern_from_text, pair_type)
 from permsym.preservation import golden_table
@@ -164,7 +164,7 @@ def test_exchange_maps_each_relation_to_its_twin():
         k, cells, moved = arity(name), [], []
         for n in range(k, 6):
             for p in enumerate_patterns(n):
-                q, mapping = apply(SW, p)
+                q, mapping = apply(GeneratorId("sw", None), p)
                 for t in permutations(range(n), k):
                     cells.append(evaluate(name, p, t))
                     moved.append(evaluate(name, q, tuple(mapping[x] for x in t)))
