@@ -12,7 +12,6 @@ from collections import namedtuple
 from itertools import combinations
 
 from .patterns import T1, T2, T3, T4, Behavior, extend, pair_type, Pattern
-from .generators import TURN_KINDS, apply_word
 
 BehaviorClass = namedtuple("BehaviorClass", ["kind", "name", "order", "sense"])
 
@@ -44,6 +43,7 @@ DIAGONAL_CLASSES = {
 
 def behavior_of_word(word):
     """Behavior of a turn-free word, read off the two 2-point patterns."""
+    from .generators import TURN_KINDS, apply_word  # classify never needs them
     for g in word:
         if g.kind in TURN_KINDS:
             raise ValueError(

@@ -6,7 +6,6 @@ positive cells hold at every size, and every negative cell carries a
 one-move witness.  Computed rows are diffed against the published table.
 """
 
-import csv
 import os
 from collections import namedtuple
 from functools import lru_cache
@@ -58,6 +57,7 @@ def golden_table():
 
 def load_golden(path):
     """Golden rows from a CSV file: (ordered labels, label -> bit tuple)."""
+    import csv  # only table commands read the golden CSV
     try:
         with open(path) as fh:
             text = fh.read()

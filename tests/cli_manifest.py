@@ -173,6 +173,9 @@ def commands():
                 argv += ["--constants", constants]
             out.append(argv)
             out.append(argv + ["--format", "json"])
+    # a size-10 pattern in its comma text form
+    argv = ["orbits", "--pattern", "2,10,1,3,4,5,6,7,8,9", "--constants", "2"]
+    out += [argv, argv + ["--format", "json"]]
     for pattern, constants in (("0", None), ("123", "4"), ("213", "1,,3"),
                                ("213", "2,2"), ("213", ",")):
         argv = ["orbits", "--pattern", pattern]

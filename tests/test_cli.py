@@ -465,3 +465,35 @@ def test_closed_stdout_exits_without_traceback():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+# Runs cli.main() as the console script does, then records the gc freeze
+# count before and after it in the file named by the first argument.
+_MAIN = """
+import gc, sys
+from permsym import cli
+report, sys.argv = sys.argv[1], ["permsym"] + sys.argv[2:]
+before = gc.get_freeze_count()
+try:
+    cli.main()
+except SystemExit:
+    with open(report, "w") as fh:
+        fh.write("%d %d" % (before, gc.get_freeze_count()))
+    raise
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["lattice", "--count-only"], 0), (["table", "--diff"], 1),
+    (["closure", "a b"], 2),
+])
+def test_main_in_a_fresh_process_matches_run(capsys, tmp_path, argv, expected):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(permsym.__file__).resolve().parents[1]))
+    report = tmp_path / "freeze-count"
+    proc = subprocess.run([sys.executable, "-c", _MAIN, str(report), *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == _run(capsys, *argv)
+    assert proc.returncode == expected
+    before, after = map(int, report.read_text().split())
+    assert before == 0 < after

@@ -67,6 +67,17 @@ def test_text_output_loads_no_json(argv, expected):
     assert "json" not in modules
 
 
+@pytest.mark.parametrize("argv, absent", [
+    (["witness", "de", "r1"], "csv"),
+    (["classify", "--behavior", "t1,t3"], "permsym.generators"),
+])
+def test_command_skips_a_module_only_other_paths_need(argv, absent):
+    # csv reads only the golden table; generators only move words
+    code, modules = _modules_after(argv)
+    assert code == 0
+    assert absent not in modules
+
+
 def test_check_canonical_loads_no_behavior_modules(tmp_path):
     sample = tmp_path / "sample.json"
     sample.write_text(json.dumps({
