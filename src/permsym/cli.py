@@ -17,7 +17,7 @@ import os
 import sys
 import types
 
-from .patterns import Behavior, pattern_from_text, pattern_to_text, T1, T2, T3, T4
+from .patterns import PAIR_TYPES, Behavior, pattern_from_text, pattern_to_text
 
 
 class _LazyModule(types.ModuleType):
@@ -39,9 +39,6 @@ behaviors, lattice, orbits, preservation, ramsey, relations = (
         "behaviors", "lattice", "orbits", "preservation", "ramsey", "relations"))
 json = _LazyModule("json")
 
-TYPE_NAMES = {T1: "t1", T2: "t2", T3: "t3", T4: "t4"}
-NAMES_TYPE = {v: k for k, v in TYPE_NAMES.items()}
-
 
 def _pattern(text):
     try:
@@ -52,14 +49,10 @@ def _pattern(text):
 
 def _behavior(text):
     parts = [p.strip().lower() for p in text.split(",")]
-    if len(parts) != 2 or any(p not in NAMES_TYPE for p in parts):
+    if len(parts) != 2 or any(p not in PAIR_TYPES for p in parts):
         raise argparse.ArgumentTypeError(
             "behavior must look like t1,t2 (images of the two pair types)")
-    return Behavior(NAMES_TYPE[parts[0]], NAMES_TYPE[parts[1]])
-
-
-def _behavior_text(b):
-    return "%s,%s" % (TYPE_NAMES[b.image_t1], TYPE_NAMES[b.image_t2])
+    return Behavior(*parts)
 
 
 def _points(text):
@@ -81,10 +74,10 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.lru_cache(maxsize=1)
 def _parser():
-    ap = _Parser(
-        prog="permsym",
-        description="Verify the symmetry-group classification of two-order patterns.")
-    sub = ap.add_subparsers(dest="command", required=True)
+    # Python 3.13 wraps the {table,...} usage unlike 3.10-3.12; prog= keeps "permsym <cmd>".
+    ap = _Parser(prog="permsym", usage="%(prog)s [-h] COMMAND ...", description=(
+        "Verify the symmetry-group classification of two-order patterns."))
+    sub = ap.add_subparsers(dest="command", required=True, prog="permsym")
 
     def command(name, run, help):
         p = sub.add_parser(name, help=help)
@@ -335,9 +328,8 @@ def _load_sample(path):
 def _report_entry(entry, report):
     """A check-canonical cell or cell-pair entry, completed by its report."""
     entry.update(
-        observed={TYPE_NAMES[s]: TYPE_NAMES[d] for s, d in
-                  sorted(report.observed.items())},
-        behaviors=[_behavior_text(b) for b in report.behaviors],
+        observed=dict(sorted(report.observed.items())),
+        behaviors=[",".join(b) for b in report.behaviors],
         consistent=report.consistent,
         counterexample=None)
     if report.counterexample:

@@ -12,10 +12,10 @@ from itertools import combinations, permutations
 from operator import itemgetter, lt
 
 # The four isomorphism types of an ordered pair (x, y) of distinct points.
-T1 = 1  # x below y in both orders
-T2 = 2  # x below y in the first order, above in the second
-T3 = 3  # reversal of T1
-T4 = 4  # reversal of T2
+T1 = "t1"  # x below y in both orders
+T2 = "t2"  # x below y in the first order, above in the second
+T3 = "t3"  # reversal of T1
+T4 = "t4"  # reversal of T2
 
 PAIR_TYPES = (T1, T2, T3, T4)
 

@@ -2,13 +2,13 @@
 
 A host pattern witnesses (gamma, omega) when every 2-coloring of the
 gamma-copies inside it admits an omega-copy all of whose gamma-subcopies
-share one color.  Each host becomes a hypergraph once: its vertices are
-the gamma-copies, and each omega-copy is an edge holding its
-gamma-subcopies.  The host is a witness iff that hypergraph has no
-proper 2-coloring (no edge one color; "property B" fails).  A
-backtracking search for a proper 2-coloring of the copy hypergraph
-decides this for hosts with at most MAX_COPIES gamma-copies (2^24
-colorings); a larger host answers "infeasible", never a guess.
+share one color: the hypergraph with the gamma-copies as vertices and
+each omega-copy as an edge of its gamma-subcopies has no proper
+2-coloring ("property B" fails).  A backtracking search decides this for
+hosts of at most MAX_COPIES gamma-copies; a larger host answers
+"infeasible", never a guess.  The gate bounds the colorings searched
+(2^24), not the omega-copies listed: host 22,21,...,1 has no copy of 12
+but 705,432 of 11,10,...,1, and listing them all takes seconds.
 """
 
 from collections import namedtuple

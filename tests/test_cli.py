@@ -496,4 +496,4 @@ def test_main_in_a_fresh_process_matches_run(capsys, tmp_path, argv, expected):
     assert (proc.returncode, proc.stdout, proc.stderr) == _run(capsys, *argv)
     assert proc.returncode == expected
     before, after = map(int, report.read_text().split())
-    assert before == 0 < after
+    assert after > before  # main froze the heap; 3.12 starts with some objects frozen

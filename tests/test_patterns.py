@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permsym.patterns import (
-    Pattern, T1, T2, T3, T4,
+    Pattern, PAIR_TYPES, T1, T2, T3, T4,
     pattern_from_text, pattern_to_text, from_points, pair_type,
     sub_pattern, copies_of, enumerate_patterns,
 )
@@ -101,12 +101,18 @@ def test_from_points_inverts_realization(ranks):
     assert from_points([(i, p.ranks[i]) for i in range(p.n)]) == p
 
 
+# ids keep the case names from when the types were the numbers 1-4
 PAIR_CASES = [
-    ("12", 0, 1, T1),
-    ("21", 0, 1, T2),
-    ("12", 1, 0, T3),
-    ("21", 1, 0, T4),
+    pytest.param("12", 0, 1, T1, id="12-0-1-1"),
+    pytest.param("21", 0, 1, T2, id="21-0-1-2"),
+    pytest.param("12", 1, 0, T3, id="12-1-0-3"),
+    pytest.param("21", 1, 0, T4, id="21-1-0-4"),
 ]
+
+
+def test_pair_types_are_their_cli_names():
+    # check-canonical prints the types as they are and sorts them in this order
+    assert PAIR_TYPES == ("t1", "t2", "t3", "t4")
 
 
 @pytest.mark.parametrize("text,i,j,expected", PAIR_CASES)
