@@ -125,22 +125,26 @@ def sub_pattern(p, s):
     return Pattern(rank2[p.ranks[i]] for i in idx)
 
 
+def iter_copies(host, small):
+    """Yield the copies of small in host one at a time, in copies_of order."""
+    k = small.n
+    if k < 2:
+        yield from combinations(range(host.n), k)
+        return
+    by_rank = itemgetter(*sorted(range(k), key=small.ranks.__getitem__))
+    for s, ranks in zip(combinations(range(host.n), k), combinations(host.ranks, k)):
+        v = by_rank(ranks)
+        if all(map(lt, v, v[1:])):
+            yield s
+
+
 def copies_of(host, small):
     """All index sets S (sorted tuples) with sub_pattern(host, S) == small.
 
     S is a copy iff the host ranks of its points, read in the order of
     small's second-order ranks, increase.
     """
-    k = small.n
-    if k < 2:
-        return list(combinations(range(host.n), k))
-    by_rank = itemgetter(*sorted(range(k), key=small.ranks.__getitem__))
-    out = []
-    for s, ranks in zip(combinations(range(host.n), k), combinations(host.ranks, k)):
-        v = by_rank(ranks)
-        if all(map(lt, v, v[1:])):
-            out.append(s)
-    return out
+    return list(iter_copies(host, small))
 
 
 def enumerate_patterns(n):

@@ -6,15 +6,15 @@ share one color: the hypergraph with the gamma-copies as vertices and
 each omega-copy as an edge of its gamma-subcopies has no proper
 2-coloring ("property B" fails).  A backtracking search decides this for
 hosts of at most MAX_COPIES gamma-copies; a larger host answers
-"infeasible", never a guess.  The gate bounds the colorings searched
-(2^24), not the omega-copies listed: host 22,21,...,1 has no copy of 12
-but 705,432 of 11,10,...,1, and listing them all takes seconds.
+"infeasible", never a guess.  At most MAX_COPIES + 1 gamma-copies are
+listed, and omega-copies are read until an edge holds at most one; a
+host whose every omega-copy holds two or more lists all of them.
 """
 
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, islice
 
-from .patterns import copies_of, enumerate_patterns
+from .patterns import copies_of, enumerate_patterns, iter_copies
 
 INFEASIBLE = "infeasible"
 MAX_COPIES = 24
@@ -23,21 +23,15 @@ SearchResult = namedtuple("SearchResult", ["pattern", "infeasible"])
 
 
 def _copy_edges(delta, gamma, copies, omega):
-    """Each omega-copy of delta, in copies_of order, with its edge mask.
+    """Yield each omega-copy of delta, in copies_of order, with its edge mask.
 
     Bit k of the mask is set iff the gamma-copy copies[k] lies inside
     the omega-copy.
     """
-    index = {c: k for k, c in enumerate(copies)}
-    edges = []
-    for ocopy in copies_of(delta, omega):
-        mask = 0
-        for s in combinations(ocopy, gamma.n):
-            k = index.get(s)
-            if k is not None:
-                mask |= 1 << k
-        edges.append((ocopy, mask))
-    return edges
+    bit = {c: 1 << k for k, c in enumerate(copies)}
+    for ocopy in iter_copies(delta, omega):
+        # distinct copies hold distinct bits, so the sum is their union
+        yield ocopy, sum(bit.get(s, 0) for s in combinations(ocopy, gamma.n))
 
 
 def _check_coloring(copies, chi):
@@ -85,14 +79,16 @@ def _has_proper_coloring(m, masks):
 
 def check_ramsey_witness(delta, gamma, omega):
     """True iff every coloring has a one-color omega-copy; INFEASIBLE past MAX_COPIES."""
-    copies = copies_of(delta, gamma)
+    copies = list(islice(iter_copies(delta, gamma), MAX_COPIES + 1))
     m = len(copies)
     if m > MAX_COPIES:
         return INFEASIBLE
-    masks = [mask for _, mask in _copy_edges(delta, gamma, copies, omega)]
-    # an edge with at most one copy is one color under every coloring
-    if any((mask & (mask - 1)) == 0 for mask in masks):
-        return True
+    masks = set()
+    for _, mask in _copy_edges(delta, gamma, copies, omega):
+        # an edge with at most one copy is one color under every coloring
+        if (mask & (mask - 1)) == 0:
+            return True
+        masks.add(mask)
     return not _has_proper_coloring(m, masks)
 
 

@@ -190,6 +190,11 @@ def commands():
             out.append(argv + ["--format", "json"])
     out += [["ramsey", "--delta", "0", "--gamma", "1", "--omega", "12"],
             ["ramsey", "--delta", "123", "--gamma", "1"]]
+    # hosts settled by their first omega-copy and by the gamma-copy gate
+    desc22, desc11, desc80 = (",".join(map(str, range(n, 0, -1))) for n in (22, 11, 80))
+    out += [["ramsey", "--delta", desc22, "--gamma", "12", "--omega", desc11],
+            ["ramsey", "--delta", desc80, "--gamma", "4321", "--omega", "54321",
+             "--format", "json"]]
     for gamma, omega in RAMSEY_PAIRS:
         for max_n in range(-1, 7):
             argv = ["ramsey-search", "--gamma", gamma, "--omega", omega,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from permsym.patterns import (
     Pattern, PAIR_TYPES, T1, T2, T3, T4,
     pattern_from_text, pattern_to_text, from_points, pair_type,
-    sub_pattern, copies_of, enumerate_patterns,
+    sub_pattern, copies_of, iter_copies, enumerate_patterns,
 )
 from permsym.letters import letter_witness
 
@@ -167,6 +167,7 @@ def test_copies_of_matches_sub_pattern_definition():
             for small in smalls:
                 assert copies_of(host, small) == copies_by_definition(host, small), \
                     (host, small)
+                assert list(iter_copies(host, small)) == copies_of(host, small)
 
 
 def test_enumerate_patterns():

@@ -178,6 +178,8 @@ def test_check_matches_copies_by_definition(monkeypatch, gamma, omega):
     hosts = _patterns(6)
     want = [check_ramsey_witness(delta, gamma, omega) for delta in hosts]
     monkeypatch.setattr(ramsey, "copies_of", copies_by_definition)
+    monkeypatch.setattr(ramsey, "iter_copies", lambda host, small: (
+        c for c in copies_by_definition(host, small)))
     assert [check_ramsey_witness(delta, gamma, omega) for delta in hosts] == want
 
 
@@ -214,6 +216,24 @@ def test_smallest_witness_size_is_invariant_under_the_symmetries():
         wrong = [key for key, want in size.items()
                  if size[tuple(apply_word(word, p).pattern for p in key)] != want]
         assert not wrong, (text, wrong[:3])
+
+
+def _desc(n):
+    return pattern_from_text(",".join(str(v) for v in range(n, 0, -1)))
+
+
+def test_check_reads_copies_only_as_far_as_the_answer_needs():
+    # 22,...,1 holds no copy of 12, so its first omega-copy is a one-color
+    # edge; 80,...,1 holds 1,581,580 copies of 4321 and the gate needs 25
+    calls = [
+        (lambda: check_ramsey_witness(_desc(22), UP, _desc(11)), True),
+        (lambda: find_mono_copy(_desc(22), UP, _desc(11), {}), tuple(range(11))),
+        (lambda: check_ramsey_witness(_desc(80), _desc(4), _desc(5)), INFEASIBLE),
+    ]
+    for call, expect in calls:
+        start = time.perf_counter()
+        assert call() == expect
+        assert time.perf_counter() - start < 0.25
 
 
 def test_ramsey_number_r33():
