@@ -40,9 +40,16 @@ behaviors, lattice, orbits, preservation, ramsey, relations = (
 json = _LazyModule("json")
 
 
+def _nonempty_pattern(text):
+    """pattern_from_text, less the size-0 pattern: no command takes it."""
+    if not text.strip():
+        raise ValueError("bad pattern text: ''")
+    return pattern_from_text(text)
+
+
 def _pattern(text):
     try:
-        return pattern_from_text(text)
+        return _nonempty_pattern(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -313,8 +320,8 @@ def _load_sample(path):
     for key in ("source_pattern", "image_pattern"):
         if not isinstance(data[key], str):
             raise ValueError("%s must be a string" % key)
-    source = pattern_from_text(data["source_pattern"])
-    image = pattern_from_text(data["image_pattern"])
+    source = _nonempty_pattern(data["source_pattern"])
+    image = _nonempty_pattern(data["image_pattern"])
     mapping = {}
     for s, d in pairs:
         s = _sample_point(s, source.n, "source")

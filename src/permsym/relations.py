@@ -5,9 +5,12 @@ Each relation is first-order in the two orders.  Tuples are point indices
 stated once, on plain values, and read in the first order (`_first`), the
 second (`_second`), or both joined by one operator (`_joined`): or_ for
 either order (r2-r4), eq for the same in both (st, r7), and_ for both
-(up), gt for the first only (dow, r8).  r7 and r8 rest on distinct
-points: exactly one of cyc(x,y,z) and cyc(z,y,x) holds.  r1, r5, r6 and
-r9 combine several readings, so they are written out.
+(up), gt for the first only (dow, r8).  r7, r8 and sep rest on distinct
+points: exactly one of cyc(x,y,z) and cyc(z,y,x) holds.  r5 is btw2 and
+r7, r6 is btw1 and r7.  In r1, lt in both orders reads (p, q) on (x,y)
+and (x,z) and its quarter turn (q, not p) on (y,z) (`_turn`: the move
+rev1,sw turns a reading so); in r9, cyc reads (p, q) on (x,y,w) and
+(q, not p) on (y,w,z).
 
 `evaluate` validates its arguments; `evaluator` hands back the raw function
 on (ranks, tuple) for callers that loop over millions of cells and do their
@@ -26,7 +29,7 @@ def _cyc(a, b, c):
 
 
 def _sep(w, x, y, z):
-    return (_cyc(w, x, y) and _cyc(w, z, x)) or (_cyc(w, y, x) and _cyc(w, x, z))
+    return _cyc(w, x, y) == _cyc(w, z, x)
 
 
 def _first(f):
@@ -43,46 +46,27 @@ def _joined(f, op):
 
 # A point's two positions are its index and its rank: up means x below y
 # in both orders, dow means below in the first and above in the second.
-_up, _dow = _joined(lt, and_), _joined(lt, gt)
+_up, _dow, _r7 = _joined(lt, and_), _joined(lt, gt), _joined(_cyc, eq)
+
+
+def _both(f, g):
+    return lambda r, t: f(r, t) and g(r, t)
+
+
+def _turn(a, b):
+    return b == (a[1], not a[0])
 
 
 def _r1(r, t):
     x, y, z = t
-    return ((_up(r, (x, y)) and _dow(r, (y, z)) and _up(r, (x, z)))
-            or (_dow(r, (x, y)) and _up(r, (z, y)) and _dow(r, (x, z)))
-            or (_up(r, (y, x)) and _dow(r, (z, y)) and _up(r, (z, x)))
-            or (_dow(r, (y, x)) and _up(r, (y, z)) and _dow(r, (z, x))))
-
-
-def _r5(r, t):
-    x, y, z = t
-    return ((r[x] < r[y] < r[z] and _cyc(x, y, z))
-            or (r[z] < r[y] < r[x] and _cyc(z, y, x)))
-
-
-# r6 is r5 with the orders exchanged; on (ranks, tuple) that needs r inverted.
-def _r6(r, t):
-    x, y, z = t
-    return ((x < y < z and _cyc(r[x], r[y], r[z]))
-            or (z < y < x and _cyc(r[z], r[y], r[x])))
-
-
-# Allowed (first triple, second triple) truth patterns for r9, keyed by
-# the (cyc in order 1, cyc in order 2) values of the two consecutive
-# triples of the 4-tuple.
-_R9_STEPS = {
-    ((True, True), (True, False)),
-    ((False, True), (True, True)),
-    ((False, False), (False, True)),
-    ((True, False), (False, False)),
-}
+    a = (x < y, r[x] < r[y])
+    return a == (x < z, r[x] < r[z]) and _turn(a, (y < z, r[y] < r[z]))
 
 
 def _r9(r, t):
     x, y, w, z = t
-    first = (_cyc(x, y, w), _cyc(r[x], r[y], r[w]))
-    second = (_cyc(y, w, z), _cyc(r[y], r[w], r[z]))
-    return (first, second) in _R9_STEPS
+    rx, ry, rw, rz = r[x], r[y], r[w], r[z]
+    return _turn((_cyc(x, y, w), _cyc(rx, ry, rw)), (_cyc(y, w, z), _cyc(ry, rw, rz)))
 
 
 # name -> (arity, raw evaluator), in table column order.
@@ -93,8 +77,9 @@ _RELATIONS = {
     "cyc2": (3, _second(_cyc)), "sep2": (4, _second(_sep)),
     "st": (2, _joined(lt, eq)), "up": (2, _up), "dow": (2, _dow),
     "r1": (3, _r1), "r2": (3, _joined(_btw, or_)), "r3": (3, _joined(_cyc, or_)),
-    "r4": (4, _joined(_sep, or_)), "r5": (3, _r5), "r6": (3, _r6),
-    "r7": (3, _joined(_cyc, eq)), "r8": (3, _joined(_cyc, gt)), "r9": (4, _r9),
+    "r4": (4, _joined(_sep, or_)), "r5": (3, _both(_second(_btw), _r7)),
+    "r6": (3, _both(_first(_btw), _r7)), "r7": (3, _r7),
+    "r8": (3, _joined(_cyc, gt)), "r9": (4, _r9),
 }
 RELATION_NAMES = tuple(_RELATIONS)
 

@@ -102,6 +102,7 @@ def inputs():
         "constants-not-list.json": _sample("12", "12", [[1, 1]], "x"),
         "pattern-not-string.json": _sample(12, "12", [[1, 1]]),
         "pattern-bad-text.json": _sample("1a", "12", [[1, 1]]),
+        "pattern-empty.json": _sample("", "", []),
         "source-out-of-range.json": _sample("12", "12", [[3, 1]]),
         "image-out-of-range.json": _sample("12", "12", [[1, 0]]),
         "mapped-twice.json": _sample("123", "123", [[1, 1], [1, 2]]),
@@ -176,8 +177,8 @@ def commands():
     # a size-10 pattern in its comma text form
     argv = ["orbits", "--pattern", "2,10,1,3,4,5,6,7,8,9", "--constants", "2"]
     out += [argv, argv + ["--format", "json"]]
-    for pattern, constants in (("0", None), ("123", "4"), ("213", "1,,3"),
-                               ("213", "2,2"), ("213", ",")):
+    for pattern, constants in (("0", None), ("", None), ("123", "4"),
+                               ("213", "1,,3"), ("213", "2,2"), ("213", ",")):
         argv = ["orbits", "--pattern", pattern]
         if constants is not None:
             argv += ["--constants", constants]
@@ -189,6 +190,7 @@ def commands():
             out.append(argv)
             out.append(argv + ["--format", "json"])
     out += [["ramsey", "--delta", "0", "--gamma", "1", "--omega", "12"],
+            ["ramsey", "--delta", "123", "--gamma", "", "--omega", "12"],
             ["ramsey", "--delta", "123", "--gamma", "1"]]
     # hosts settled by their first omega-copy and by the gamma-copy gate
     desc22, desc11, desc80 = (",".join(map(str, range(n, 0, -1))) for n in (22, 11, 80))
@@ -201,7 +203,8 @@ def commands():
                     "--max-n", str(max_n)]
             out.append(argv)
             out.append(argv + ["--format", "json"])
-    out.append(["ramsey-search", "--gamma", "1", "--omega", "12", "--max-n", "x"])
+    out += [["ramsey-search", "--gamma", "1", "--omega", "12", "--max-n", "x"],
+            ["ramsey-search", "--gamma", "", "--omega", "", "--max-n", "2"]]
 
     out = [(argv, "-") for argv in out]
     for tag in inputs():

@@ -361,10 +361,12 @@ _PATTERNS_123 = '"source_pattern": "123", "image_pattern": "123"'
      "constants must be distinct points"),
     ("", "sample is not JSON"),
     ("[" * 100000, "sample is not JSON"),
+    ('{"source_pattern": "", "image_pattern": "12", "map": []}',
+     "bad pattern text: ''"),
 ], ids=["missing-key", "not-an-object", "source-out-of-range",
         "repeated-source", "float-constant", "float-source", "bool-source",
         "string-image", "missing-file", "number-pattern", "list-pattern",
-        "repeated-constant", "empty", "deep-nesting"])
+        "repeated-constant", "empty", "deep-nesting", "empty-pattern"])
 def test_check_canonical_rejects_bad_input(capsys, monkeypatch, tmp_path,
                                            text, message):
     path = str(tmp_path / "missing.json")
@@ -436,6 +438,12 @@ def test_usage_errors(capsys):
                               "--constants", constants)
         assert (code, out, err.count("\n")) == (2, "", 1), constants
     assert _run(capsys, "ramsey", "--delta", "12", "--gamma", "1")[0] == 2
+    # the size-0 pattern is no command input
+    for argv in (("orbits", "--pattern", ""),
+                 ("ramsey", "--delta", "", "--gamma", "1", "--omega", "12")):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out, err.count("\n")) == (2, "", 1), argv
+        assert err.endswith("bad pattern text: ''\n"), argv
 
 
 def test_help_exits_cleanly(capsys):

@@ -131,12 +131,25 @@ def test_disjunction_relations(ranks):
             evaluate("sep1", p, t) or evaluate("sep2", p, t))
 
 
+# r9's four allowed steps, as (cyc1, cyc2) on (x,y,w) then on (y,w,z).
+R9_STEPS = {((True, True), (True, False)), ((False, True), (True, True)),
+            ((False, False), (False, True)), ((True, False), (False, False))}
+
+
 @given(perms)
 def test_chain_relations(ranks):
     p = Pattern(ranks)
     r = p.ranks
+    up = lambda a, b: evaluate("up", p, (a, b))
+    dow = lambda a, b: evaluate("dow", p, (a, b))
+    cyc = lambda s: (evaluate("cyc1", p, s), evaluate("cyc2", p, s))
     for t in permutations(range(p.n), 3):
         x, y, z = t
+        want1 = ((up(x, y) and dow(y, z) and up(x, z))
+                 or (dow(x, y) and up(z, y) and dow(x, z))
+                 or (up(y, x) and dow(z, y) and up(z, x))
+                 or (dow(y, x) and up(y, z) and dow(z, x)))
+        assert evaluate("r1", p, t) == want1
         want5 = ((r[x] < r[y] < r[z] and evaluate("cyc1", p, t))
                  or (r[z] < r[y] < r[x] and evaluate("cyc1", p, (z, y, x))))
         assert evaluate("r5", p, t) == want5
@@ -147,6 +160,10 @@ def test_chain_relations(ranks):
                  or (evaluate("cyc1", p, (z, y, x))
                      and evaluate("cyc2", p, (z, y, x))))
         assert evaluate("r7", p, t) == want7
+    for t in permutations(range(p.n), 4):
+        x, y, w, z = t
+        want9 = (cyc((x, y, w)), cyc((y, w, z))) in R9_STEPS
+        assert evaluate("r9", p, t) == want9
 
 
 # Exchanging the orders turns each first-order relation into its
