@@ -1,17 +1,16 @@
 """Pair-level behaviors of symmetry words.
 
-A behavior records where a map sends pairs of type T1 and of type T2;
-the images of T3 and T4 pairs follow by argument reversal.  Eight of
-the sixteen behaviors are invertible maps on pair types; they carry
-names built from the moves realizing them ("sw.id/rev" is sw applied
-after id/rev).  The other eight send both types into one diagonal
-class and are labelled by collapse order and sense instead.
+A behavior records where a map sends pairs of type t1 and t2; the
+images of t3 and t4 pairs follow by argument reversal.  Eight of the 16
+behaviors are invertible, named by the moves realizing them ("sw.id/rev"
+is sw applied after id/rev).  The other eight keep one order's reading
+of a pair, and are labelled by that order and its sense.
 """
 
 from collections import namedtuple
 from itertools import combinations
 
-from .patterns import T1, T2, T3, T4, Behavior, extend, pair_type, Pattern
+from .patterns import T1, T2, T3, T4, TYPE_BY_ORDERS, Behavior, extend, pair_type, Pattern
 
 BehaviorClass = namedtuple("BehaviorClass", ["kind", "name", "order", "sense"])
 
@@ -28,17 +27,7 @@ NAMED_BEHAVIORS = {
 }
 BEHAVIOR_NAMES = {b: name for name, b in NAMED_BEHAVIORS.items()}
 
-# The remaining 8 behaviors collapse onto a diagonal class.
-DIAGONAL_CLASSES = {
-    Behavior(T1, T1): (1, "preserve"),
-    Behavior(T2, T2): (1, "preserve"),
-    Behavior(T3, T3): (1, "reverse"),
-    Behavior(T4, T4): (1, "reverse"),
-    Behavior(T1, T3): (2, "preserve"),
-    Behavior(T4, T2): (2, "preserve"),
-    Behavior(T3, T1): (2, "reverse"),
-    Behavior(T2, T4): (2, "reverse"),
-}
+_INCREASING_IN = {t: orders for orders, t in TYPE_BY_ORDERS.items()}  # (order 1, order 2)
 
 
 def behavior_of_word(word):
@@ -66,11 +55,16 @@ def compose(b1, b2):
 
 
 def classify(b):
-    """Sort a behavior into its named or diagonal-collapse class."""
+    """Sort a behavior into its named or diagonal-collapse class.
+
+    A collapse reads order 1 if t1 and t2 pairs land on one type, 2 if on a
+    type and its reversal; it is "preserve" if t1's image increases there.
+    """
     extend(b)  # raises on a bad behavior
     if b in BEHAVIOR_NAMES:
         return BehaviorClass("named", BEHAVIOR_NAMES[b], None, None)
-    order, sense = DIAGONAL_CLASSES[b]
+    order = 1 if b.image_t1 == b.image_t2 else 2
+    sense = "preserve" if _INCREASING_IN[b.image_t1][order - 1] else "reverse"
     return BehaviorClass("diagonal", None, order, sense)
 
 

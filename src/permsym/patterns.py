@@ -24,8 +24,8 @@ PAIR_TYPES = (T1, T2, T3, T4)
 TYPE_BY_ORDERS = {(True, True): T1, (True, False): T2,
                   (False, False): T3, (False, True): T4}
 
-# Swapping the two arguments of a pair swaps T1<->T3 and T2<->T4.
-REVERSED_TYPE = {T1: T3, T2: T4, T3: T1, T4: T2}
+# Swapping the two arguments of a pair negates both readings.
+REVERSED_TYPE = {t: TYPE_BY_ORDERS[not x, not y] for (x, y), t in TYPE_BY_ORDERS.items()}
 
 # A pair-level behavior: where a map sends pairs of type T1 and of type
 # T2.  The images of T3 and T4 pairs follow by argument reversal.

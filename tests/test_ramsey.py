@@ -6,7 +6,8 @@ import pytest
 
 from permsym import ramsey
 from permsym.generators import apply_word, word_from_text
-from permsym.patterns import pattern_from_text, enumerate_patterns, copies_of, sub_pattern
+from permsym.patterns import (
+    Pattern, pattern_from_text, enumerate_patterns, copies_of, sub_pattern)
 from permsym.ramsey import (
     INFEASIBLE, SearchResult,
     find_mono_copy, check_ramsey_witness, search_witness,
@@ -255,3 +256,33 @@ def test_search_witness_finds_r33_host_fast():
     elapsed = time.perf_counter() - start
     assert result == SearchResult(pattern_from_text("123456"), ())
     assert elapsed < 1.0
+
+
+# omega -> least host whose every 2-coloring of points leaves a
+# one-color omega-copy: the vertex-Ramsey number R(omega) is its size.
+VERTEX_RAMSEY_HOSTS = {
+    "12": "123", "123": "12345", "132": "132654", "1234": "1234567",
+    "1243": "124365987", "1324": "132654879", "1432": "143298765",
+    "2143": "321654987",
+}
+
+
+def _inflation(omega):
+    """omega[omega]: each point of omega replaced by a block that copies omega."""
+    k, r = omega.n, omega.ranks
+    return Pattern(r[i] * k + r[j] for i in range(k) for j in range(k))
+
+
+def test_vertex_ramsey_hosts():
+    for omega, host in VERTEX_RAMSEY_HOSTS.items():
+        assert check_ramsey_witness(pattern_from_text(host), POINT,
+                                    pattern_from_text(omega)) is True, omega
+    # If some block is one color it is the copy; else one point of color 0
+    # per block is.  So R(omega) <= k^2, and 16 points stay under the gate.
+    for omega in (w for k in (3, 4) for w in enumerate_patterns(k)):
+        assert check_ramsey_witness(_inflation(omega), POINT, omega) is True, omega
+    # Minimality of the four 9-point hosts takes seconds each, so only the
+    # small hosts are confirmed least here.
+    for omega in ("12", "123", "132", "1234"):
+        host = pattern_from_text(VERTEX_RAMSEY_HOSTS[omega])
+        assert search_witness(POINT, pattern_from_text(omega), host.n) == (host, ())
