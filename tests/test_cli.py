@@ -315,6 +315,10 @@ def test_check_canonical_file(capsys, tmp_path):
     assert data["canonical"] is True
     assert data["mixed"] is True
     assert {c["observed"]["t1"] for c in data["cells"]} == {"t1", "t2"}
+    [pair] = data["cell_pairs"]
+    assert list(pair) == ["cells", "observed", "behaviors", "consistent", "counterexample"]
+    named = [[c["row"], c["col"]] for c in data["cells"]]
+    assert all(cell in named for cell in pair["cells"])
 
 
 def test_check_canonical_stdin(capsys, monkeypatch):
